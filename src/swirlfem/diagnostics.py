@@ -21,7 +21,17 @@ REGION_NAMES = ("inner", "middle", "outer", "none")
 DEFAULT_REGION_THRESHOLDS = (0.15, 0.4, 0.7)
 DEFAULT_Q_THRESHOLDS = (50.0, 250.0, 750.0)
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Projection onto the curve (see nearest_points_on_curve).  Leading
+# stationarity coefficients below _DROP_TOL times the largest one are dropped
+# before the eigenvalue solve: this balances the truncation (about _DROP_TOL)
+# against the eigenvalue round-off of a badly scaled companion matrix (about
+# eps / _DROP_TOL).  Newton steps then polish the real roots, at most
+# _NEWTON_MAX_STEPS.  Distances within _TIE_ULPS rounding units of the
+# coordinates' size tie.
+_DROP_TOL = 1e-8
+_NEWTON_MAX_STEPS = 40
+_EPS = np.finfo(float).eps
+_TIE_ULPS = 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -88,43 +98,137 @@ def fit_central_curve(xi, points, xi_range=None) -> CentralCurve:
     return curve
 
 
-def nearest_points_on_curve(curve: CentralCurve, points: np.ndarray,
-                            n_samples: int = 257, xi_tol: float = 1e-10):
-    """Closest curve point for each query: dense parameter sampling followed
-    by golden-section refinement; ties go to the smaller parameter.
+def _unit_interval_coeffs(curve: CentralCurve):
+    """Curve coefficients in s, where xi = mid + half s maps s in [-1, 1]
+    onto xi_range.  Returns ((3, 4) ascending, mid, half)."""
+    lo, hi = curve.xi_range
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    b = np.zeros((3, 4))
+    shift = np.polynomial.Polynomial([mid, half])
+    for d in range(3):
+        co = np.polynomial.Polynomial(curve.coeffs[d])(shift).coef
+        b[d, :len(co)] = co
+    return b, mid, half
+
+
+def _stationarity_coeffs(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(Q, 6) ascending coefficients of g(s) = (C(s) - P) . C'(s), with
+    C(s) = sum_k b_k s^k and a = b_0 - P for each of the Q queries.
+
+    g = a.b_1 + (2 a.b_2 + b_1.b_1) s + (3 a.b_3 + 3 b_1.b_2) s^2
+        + (4 b_1.b_3 + 2 b_2.b_2) s^3 + 5 b_2.b_3 s^4 + 3 b_3.b_3 s^5,
+    so only the first three coefficients depend on P.
+    """
+    b1, b2, b3 = b[:, 1], b[:, 2], b[:, 3]
+    q = np.empty((len(a), 6))
+    q[:, 0] = a @ b1
+    q[:, 1] = 2.0 * (a @ b2) + b1 @ b1
+    q[:, 2] = 3.0 * (a @ b3) + 3.0 * (b1 @ b2)
+    q[:, 3] = 4.0 * (b1 @ b3) + 2.0 * (b2 @ b2)
+    q[:, 4] = 5.0 * (b2 @ b3)
+    q[:, 5] = 3.0 * (b3 @ b3)
+    return q
+
+
+def _stationary_roots(q: np.ndarray) -> np.ndarray:
+    """Complex roots of each row's polynomial, (Q, 5) padded with NaN.
+
+    Leading coefficients below _DROP_TOL times the row's largest one are
+    dropped first: over s in [-1, 1] their terms are round-off.  A straight
+    curve then gives degree 1, a quadratic one degree 3.  Rows of equal
+    degree share one batched companion-matrix eigenvalue call.
+    """
+    n = len(q)
+    scale = np.abs(q).max(axis=1, initial=0.0)
+    alive = np.abs(q) > _DROP_TOL * scale[:, None]
+    degree = np.where(alive.any(axis=1),
+                      5 - np.argmax(alive[:, ::-1], axis=1), 0)
+    roots = np.full((n, 5), np.nan, dtype=complex)
+    for deg in range(1, 6):
+        rows = np.nonzero(degree == deg)[0]
+        if len(rows) == 0:
+            continue
+        comp = np.zeros((len(rows), deg, deg))
+        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        comp[:, :, -1] = -q[rows, :deg] / q[rows, deg, None]
+        roots[rows, :deg] = np.linalg.eigvals(comp)
+    return roots
+
+
+def _newton_polish(b: np.ndarray, a: np.ndarray,
+                   s: np.ndarray) -> np.ndarray:
+    """Newton steps on g(s) = (C(s) - P) . C'(s) for every finite entry of
+    s (Q, K); an entry stops at the first step that does not shrink |g|.
+
+    g is evaluated from C - P and C', not from its expanded coefficients:
+    near a cusp of the parametrization both factors are small and their
+    product keeps its relative accuracy, while the expanded sum would drown
+    in the round-off of its O(1) terms.
+    """
+    b1, b2, b3 = b[:, 1], b[:, 2], b[:, 3]
+
+    def value_and_slope(x, rows):
+        x = x[:, None]
+        r = a[rows] + x * (b1 + x * (b2 + x * b3))        # C - P
+        t = b1 + x * (2.0 * b2 + 3.0 * x * b3)            # C'
+        u = 2.0 * b2 + 6.0 * x * b3                       # C''
+        return (r * t).sum(axis=1), (t * t + r * u).sum(axis=1)
+
+    out = s.ravel().copy()
+    idx = np.flatnonzero(np.isfinite(out))
+    rows = idx // s.shape[1]
+    x = out[idx]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g, dg = value_and_slope(x, rows)
+        for _ in range(_NEWTON_MAX_STEPS):
+            trial = x - g / dg
+            g_t, dg_t = value_and_slope(trial, rows)
+            better = np.abs(g_t) < np.abs(g)   # False for NaN
+            if not better.any():
+                break
+            idx, rows = idx[better], rows[better]
+            x, g, dg = trial[better], g_t[better], dg_t[better]
+            out[idx] = x
+    return out.reshape(s.shape)
+
+
+def nearest_points_on_curve(curve: CentralCurve, points: np.ndarray):
+    """Closest curve point for each query, in closed form.
+
+    The stationarity condition (C(xi) - P) . C'(xi) = 0 is a polynomial of
+    degree <= 5 in xi whose roots come from batched companion-matrix
+    eigenvalues; the real ones are polished by Newton steps.  The real part
+    of every root, clipped to xi_range, and both endpoints are the
+    candidates, and the nearest one wins.  (A minimum is a root of odd
+    multiplicity, so it keeps a real eigenvalue under round-off; complex
+    roots only add harmless candidates.)  Candidates whose distances agree
+    to within the round-off of evaluating them tie, and a tie goes to the
+    smaller parameter.  Within about eps^(1/3) of a cusp of the
+    parametrization (C' = 0) the roots cluster, and the distance is then
+    accurate to about |C''| eps^(2/3) instead of round-off.
 
     Returns (curve points (Q, 3), parameters (Q,)).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lo, hi = curve.xi_range
-    xi_s = np.linspace(lo, hi, n_samples)
-    c_s = curve.evaluate(xi_s)
+    b, mid, half = _unit_interval_coeffs(curve)
+    a = b[:, 0] - pts
+    roots = _stationary_roots(_stationarity_coeffs(b, a))
+    real = roots.imag == 0.0
+    s = np.where(real, _newton_polish(b, a, np.where(real, roots.real, np.nan)),
+                 roots.real)
+    cand = np.concatenate([np.full((len(pts), 1), lo),
+                           np.clip(mid + half * s, lo, hi),
+                           np.full((len(pts), 1), hi)], axis=1)
+    cand = np.where(np.isnan(cand), lo, cand)  # pad absent roots
 
-    best = np.empty(len(pts), dtype=np.int64)
-    chunk = 16384
-    for start in range(0, len(pts), chunk):
-        blk = pts[start:start + chunk]
-        d2 = ((blk[:, None, :] - c_s[None, :, :]) ** 2).sum(axis=2)
-        best[start:start + chunk] = np.argmin(d2, axis=1)
-
-    a = xi_s[np.maximum(best - 1, 0)]
-    b = xi_s[np.minimum(best + 1, n_samples - 1)]
-
-    def f(x):
-        d = curve.evaluate(x) - pts
-        return (d * d).sum(axis=1)
-
-    span = max(hi - lo, 1.0)
-    it = 0
-    while (b - a).max(initial=0.0) > xi_tol * span and it < 200:
-        x1 = b - _INVPHI * (b - a)
-        x2 = a + _INVPHI * (b - a)
-        left = f(x1) <= f(x2)  # prefer the smaller parameter on ties
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        it += 1
-    xi_best = np.where(f(a) <= f(b), a, b)
-    return curve.evaluate(xi_best), xi_best
+    c_pts = curve.evaluate(cand)                       # (Q, K, 3)
+    dist = np.sqrt(((c_pts - pts[:, None, :]) ** 2).sum(axis=2))
+    size = np.abs(c_pts).sum(axis=2).max(axis=1) + np.abs(pts).sum(axis=1)
+    tied = dist <= dist.min(axis=1)[:, None] + _TIE_ULPS * _EPS * size[:, None]
+    pick = np.argmin(np.where(tied, cand, np.inf), axis=1)
+    rows = np.arange(len(pts))
+    return c_pts[rows, pick], cand[rows, pick]
 
 
 def nearest_point_on_curve(curve: CentralCurve, x) -> np.ndarray:
@@ -202,15 +306,21 @@ class RegionDecomposition:
     thresholds: tuple            # (inner, middle, outer) cutoffs
     labels: np.ndarray           # (n_tets,) index into REGION_NAMES
     distance: np.ndarray         # (n_tets,) |r_e|
+    offsets: np.ndarray          # (n_tets, 3) r_e = centroid - nearest C(xi)
 
     def mask(self, name: str) -> np.ndarray:
         return self.labels == REGION_NAMES.index(name)
 
 
+def curve_offsets(mesh: Mesh, curve: CentralCurve) -> np.ndarray:
+    """r_e: each element centroid minus its nearest point on the curve."""
+    c_pts, _ = nearest_points_on_curve(curve, mesh.tet_centroids())
+    return mesh.tet_centroids() - c_pts
+
+
 def region_decomposition(mesh: Mesh, curve: CentralCurve,
                          thresholds=DEFAULT_REGION_THRESHOLDS) -> RegionDecomposition:
-    c_pts, _ = nearest_points_on_curve(curve, mesh.tet_centroids())
-    rel = mesh.tet_centroids() - c_pts
+    rel = curve_offsets(mesh, curve)
     dist = np.sqrt((rel * rel).sum(axis=1))
     t1, t2, t3 = thresholds
     labels = np.full(mesh.n_tets, 3, dtype=np.int8)
@@ -218,7 +328,7 @@ def region_decomposition(mesh: Mesh, curve: CentralCurve,
     labels[dist <= t2] = 1
     labels[dist <= t1] = 0
     return RegionDecomposition(thresholds=tuple(thresholds),
-                               labels=labels, distance=dist)
+                               labels=labels, distance=dist, offsets=rel)
 
 
 def element_velocity(state: FieldState, mesh: Mesh) -> np.ndarray:
@@ -243,10 +353,14 @@ def kinetic_energy(state: FieldState, mesh: Mesh,
 def angular_momentum(state: FieldState, mesh: Mesh, curve: CentralCurve,
                      regions: RegionDecomposition | None = None):
     """L = sum (r_e x v_e) V_e with r_e measured from the nearest point on
-    the central curve; per-region vectors optionally returned."""
+    the central curve; per-region vectors optionally returned.
+
+    With regions (built from the same curve) r_e is taken from its offsets,
+    so the centroids are projected only once per record.
+    """
     v_e = element_velocity(state, mesh)
-    c_pts, _ = nearest_points_on_curve(curve, mesh.tet_centroids())
-    r_e = mesh.tet_centroids() - c_pts
+    r_e = regions.offsets if regions is not None \
+        else curve_offsets(mesh, curve)
     contrib = np.cross(r_e, v_e) * mesh.tet_volumes()[:, None]
     total = contrib.sum(axis=0)
     if regions is None:

@@ -39,17 +39,11 @@ class ElementBasis:
         self.volumes = signed_tet_volumes(mesh.nodes, mesh.tets)
 
 
-_BASIS_CACHE: dict = {}
-
-
 def element_basis(mesh: Mesh) -> ElementBasis:
-    key = id(mesh)
-    basis = _BASIS_CACHE.get(key)
-    if basis is None or basis._mesh is not mesh:
-        basis = ElementBasis(mesh)
-        basis._mesh = mesh  # strong ref keeps the id() key valid
-        _BASIS_CACHE[key] = basis
-    return basis
+    """Per-mesh cached basis, stored on the mesh."""
+    if mesh._basis is None:
+        mesh._basis = ElementBasis(mesh)
+    return mesh._basis
 
 
 def _assemble(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:

@@ -107,6 +107,9 @@ class Mesh:
     _centroids: np.ndarray | None = field(default=None, repr=False)
     _neighbors: np.ndarray | None = field(default=None, repr=False)
     _boundary_mask: np.ndarray | None = field(default=None, repr=False)
+    # built on first use by fem.element_basis / pointlocate.get_locator
+    _basis: object = field(default=None, repr=False)
+    _locator: object = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -145,7 +148,9 @@ class Mesh:
         return self._neighbors
 
     def with_nodes(self, nodes: np.ndarray) -> "Mesh":
-        """Same connectivity on new coordinates; h recomputed, caches reset."""
+        """Same connectivity on new coordinates; h recomputed, caches reset
+        (only the neighbor table survives: the volumes, centroids, element
+        basis and locator all depend on the coordinates)."""
         m = Mesh(
             nodes=np.ascontiguousarray(nodes, dtype=float),
             tets=self.tets,

@@ -129,7 +129,7 @@ def cmd_run(cfg: RunConfig, out_dir=None, max_steps=None):
         state = _run_limited(mesh, state, solver_cfg, op, sink, checkpoint,
                              chk_steps, max_steps)
     finally:
-        _flush_csv(csv_path, rows, cfg)
+        vtkio.write_csv_rows(csv_path, rows, cfg.q_thresholds)
     return state
 
 
@@ -148,13 +148,6 @@ def _run_limited(mesh, state, solver_cfg, op, sink, checkpoint, chk_steps,
         if max_steps is not None and k - start >= max_steps:
             break
     return state
-
-
-def _flush_csv(path, rows, cfg: RunConfig):
-    lines = [",".join(vtkio.csv_columns(cfg.q_thresholds))]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    vtkio._atomic_write(path, "\n".join(lines) + "\n")
 
 
 _SNAP_TITLE_RE = re.compile(r"step=(\d+) t=([^\s]+)")
@@ -194,7 +187,7 @@ def cmd_analyze(cfg: RunConfig, snapshot_paths, out_dir=None) -> Path:
         rows.append(record_to_row(rec, cfg.q_thresholds))
         prev = rec
     path = out / "diagnostics.csv"
-    _flush_csv(path, rows, cfg)
+    vtkio.write_csv_rows(path, rows, cfg.q_thresholds)
     return path
 
 

@@ -203,14 +203,9 @@ def locate_and_interpolate(mesh: Mesh, p, field: np.ndarray,
     return val[0]
 
 
-_LOCATORS: dict = {}
-
-
 def get_locator(mesh: Mesh) -> TetLocator:
-    """Per-mesh cached locator (construction is the expensive part)."""
-    key = id(mesh)
-    loc = _LOCATORS.get(key)
-    if loc is None or loc.mesh is not mesh:
-        loc = TetLocator(mesh)
-        _LOCATORS[key] = loc
-    return loc
+    """Per-mesh cached locator, stored on the mesh (construction is the
+    expensive part)."""
+    if mesh._locator is None:
+        mesh._locator = TetLocator(mesh)
+    return mesh._locator

@@ -207,6 +207,9 @@ class StepOperator:
         zero mean (pure gauge).
         """
         cfg = self.cfg
+        if not np.isfinite(rhs).all():
+            # GMRES would spin through all its iterations on a NaN rhs
+            raise ConvergenceError("non-finite right-hand side")
         if self.n_unknowns <= cfg.direct_threshold:
             if self._lu is None:
                 self._lu = spla.splu(self.matrix.tocsc())
@@ -216,6 +219,11 @@ class StepOperator:
 
         bnorm = float(np.linalg.norm(rhs))
         res = float(np.linalg.norm(self.matrix @ x - rhs))
+        # a NaN residual would pass the comparison below
+        if not (np.isfinite(res) and np.isfinite(x).all()):
+            raise ConvergenceError(
+                f"linear solve gave a non-finite solution (residual {res:.3e}, "
+                f"|b| = {bnorm:.3e})")
         if res > cfg.linear_tol * max(bnorm, 1.0):
             raise ConvergenceError(
                 f"linear solve residual {res:.3e} exceeds "

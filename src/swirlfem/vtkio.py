@@ -269,12 +269,22 @@ def row_to_record(row, q_thresholds, xi_range) -> DiagnosticsRecord:
     )
 
 
-def format_csv(records, q_thresholds) -> str:
+def format_csv_rows(rows, q_thresholds) -> str:
+    """The diagnostics CSV text: header plus one line per row of floats,
+    each written with repr so that it reads back exactly."""
     lines = [",".join(csv_columns(q_thresholds))]
-    for rec in records:
-        row = record_to_row(rec, q_thresholds)
+    for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def format_csv(records, q_thresholds) -> str:
+    return format_csv_rows([record_to_row(rec, q_thresholds)
+                            for rec in records], q_thresholds)
+
+
+def write_csv_rows(path, rows, q_thresholds):
+    _atomic_write(path, format_csv_rows(rows, q_thresholds))
 
 
 def write_diagnostics_csv(path, records, q_thresholds):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import swirlfem as sf
 from swirlfem import diagnostics as dg
@@ -252,6 +254,64 @@ class TestNearestPoint:
         assert abs(xi[0] + 0.5) < 1e-6
 
 
+def dense_distance(curve, pts, n_samples=257):
+    """Distance from each point to the nearest of n_samples curve samples."""
+    lo, hi = curve.xi_range
+    samples = curve.evaluate(np.linspace(lo, hi, n_samples))
+    return np.linalg.norm(pts[:, None, :] - samples[None], axis=2).min(axis=1)
+
+
+_coeff = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def cubic_curves(draw):
+    """Random cubics; a random subset of the powers 1..3 is zeroed, so the
+    straight axis, a pure quadratic and a constant curve all occur."""
+    coeffs = draw(arrays(float, (3, 4), elements=_coeff))
+    powers = draw(st.sets(st.integers(1, 3)))
+    for k in range(1, 4):
+        if k not in powers:
+            coeffs[:, k] = 0.0
+    lo = draw(st.floats(-1.0, 1.0))
+    width = draw(st.floats(0.01, 2.0))
+    return dg.CentralCurve(coeffs=coeffs, xi_range=(lo, lo + width))
+
+
+class TestNearestPointProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(curve=cubic_curves(),
+           pts=arrays(float, st.tuples(st.integers(1, 12), st.just(3)),
+                      elements=st.floats(-2.0, 2.0)))
+    @example(curve=dg.CentralCurve.straight_axis((-0.125, 0.5)),
+             pts=np.array([[0.3, 0.4, 0.2], [0.0, 0.1, 0.9]]))
+    def test_never_worse_than_dense_samples(self, curve, pts):
+        found, xi = dg.nearest_points_on_curve(curve, pts)
+        lo, hi = curve.xi_range
+        assert np.all((xi >= lo) & (xi <= hi))
+        assert np.array_equal(found, curve.evaluate(xi))
+        d_found = np.linalg.norm(found - pts, axis=1)
+        assert np.all(d_found <= dense_distance(curve, pts) + 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve=cubic_curves(),
+           xi=arrays(float, st.integers(1, 12), elements=st.floats(0.0, 1.0)),
+           offset=arrays(float, 3, elements=st.floats(-1e-6, 1e-6)))
+    def test_points_next_to_the_curve(self, curve, xi, offset):
+        lo, hi = curve.xi_range
+        xi = lo + (hi - lo) * xi
+        pts = curve.evaluate(xi) + offset
+        found, _ = dg.nearest_points_on_curve(curve, pts)
+        d_found = np.linalg.norm(found - pts, axis=1)
+        assert np.all(d_found <= dense_distance(curve, pts) + 1e-12)
+        # away from cusps (C' = 0), where the roots cluster, the curve point
+        # a query was made from bounds its distance to round-off
+        c, x = curve.coeffs, xi[:, None]
+        velocity = c[:, 1] + x * (2.0 * c[:, 2] + 3.0 * x * c[:, 3])
+        regular = np.linalg.norm(velocity, axis=1) >= 1e-2
+        assert np.all(d_found[regular] <= np.linalg.norm(offset) + 1e-12)
+
+
 class TestPlaneMinima:
     def test_pressure_z_picks_layer_centers(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=3, n_z=5)
@@ -451,3 +511,36 @@ class TestComputeRecord:
         rec2 = dg.compute_record(state, mesh, straight_spec, prev=rec)
         assert rec2.delta_e == 0.0
         assert rec2.delta_l == 0.0
+
+    @pytest.fixture(scope="class")
+    def binned_mesh(self, straight_spec, curved_spec):
+        mesh = sf.map_to_torus(
+            sf.build_straight_mesh(straight_spec, n_r=4, n_z=5), curved_spec)
+        sf.cross_section_planes(curved_spec, 20, mesh=mesh)
+        return mesh
+
+    def test_record_projects_centroids_once(self, binned_mesh, curved_spec,
+                                            monkeypatch):
+        state = sf.sample_initial_state(
+            binned_mesh, sf.ProfileKind.CURVED_FRAME, curved_spec)
+        calls = []
+        project = dg.nearest_points_on_curve
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(dg, "nearest_points_on_curve", counted)
+        dg.compute_record(state, binned_mesh, curved_spec)
+        assert calls == [binned_mesh.n_tets]
+
+    def test_momentum_from_regions_matches_standalone(self, binned_mesh,
+                                                      curved_spec):
+        state = sf.sample_initial_state(
+            binned_mesh, sf.ProfileKind.CURVED_FRAME, curved_spec)
+        curve, _ = dg.fit_curve_from_state(state, binned_mesh, curved_spec)
+        regions = dg.region_decomposition(binned_mesh, curve)
+        alone = dg.angular_momentum(state, binned_mesh, curve)
+        total, split = dg.angular_momentum(state, binned_mesh, curve, regions)
+        assert np.abs(total - alone).max() <= 1e-14
+        assert np.abs(sum(split.values()) - total).max() <= 1e-12

@@ -1,10 +1,14 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import swirlfem as sf
+from swirlfem import fem
 from swirlfem import geometry as geo
+from swirlfem.pointlocate import get_locator
 
 
 def polygon_disk_area(n_r, r_max=1.0):
@@ -106,6 +110,33 @@ class TestStraightMesh:
             sf.build_straight_mesh(straight_spec, n_r=4, n_z=1)
         with pytest.raises(ValueError):
             sf.build_straight_mesh(curved_spec, n_r=4, n_z=4)
+
+
+class TestMeshCaches:
+    def test_basis_and_locator_cached_on_the_mesh(self, straight_spec):
+        mesh = sf.build_straight_mesh(straight_spec, n_r=2, n_z=3)
+        assert fem.element_basis(mesh) is fem.element_basis(mesh)
+        assert get_locator(mesh) is get_locator(mesh)
+        assert get_locator(mesh).mesh is mesh
+
+    def test_with_nodes_rebuilds_coordinate_caches(self, straight_spec):
+        mesh = sf.build_straight_mesh(straight_spec, n_r=2, n_z=3)
+        basis, loc = fem.element_basis(mesh), get_locator(mesh)
+        scaled = mesh.with_nodes(2.0 * mesh.nodes)
+        assert fem.element_basis(scaled) is not basis
+        assert get_locator(scaled) is not loc
+        assert get_locator(scaled).mesh is scaled
+        assert np.allclose(fem.element_basis(scaled).volumes,
+                           8.0 * basis.volumes)
+
+    def test_dropped_mesh_is_garbage_collected(self, straight_spec):
+        mesh = sf.build_straight_mesh(straight_spec, n_r=2, n_z=3)
+        fem.element_basis(mesh)
+        get_locator(mesh)
+        ref = weakref.ref(mesh)
+        del mesh
+        gc.collect()
+        assert ref() is None
 
 
 class TestTorusMap:

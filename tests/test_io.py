@@ -105,6 +105,17 @@ class TestDiagnosticsCsv:
         assert data["L_z"][0] == rec.l_total[2]
         assert data["planes_skipped"][0] == rec.planes_skipped
 
+    def test_record_and_row_writers_agree(self, straight_spec, tmp_path):
+        mesh = sf.build_straight_mesh(straight_spec, n_r=4, n_z=5)
+        sf.cross_section_planes(straight_spec, 10, mesh=mesh)
+        q = (50.0, 250.0, 750.0)
+        recs = [self.one_record(mesh, straight_spec, t) for t in (0.0, 0.5)]
+        vtkio.write_diagnostics_csv(tmp_path / "a.csv", recs, q)
+        vtkio.write_csv_rows(tmp_path / "b.csv",
+                             [vtkio.record_to_row(r, q) for r in recs], q)
+        assert (tmp_path / "a.csv").read_bytes() \
+            == (tmp_path / "b.csv").read_bytes()
+
     def test_row_record_roundtrip(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=4, n_z=5)
         sf.cross_section_planes(straight_spec, 10, mesh=mesh)

@@ -108,6 +108,42 @@ class TestStepSystem:
         with pytest.raises(ConvergenceError):
             op.solve(op.assemble_rhs(state))
 
+    @pytest.mark.parametrize("direct_threshold", [25_000, 1],
+                             ids=["lu", "gmres"])
+    def test_non_finite_rhs_raises(self, small_mesh, direct_threshold):
+        cfg = sf.SolverConfig(nu=1e-3, tau=0.0125, t_end=1.0,
+                              direct_threshold=direct_threshold)
+        op = StepOperator(small_mesh, cfg)
+        rhs = op.assemble_rhs(zero_state(small_mesh))
+        rhs[3] = np.nan
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            op.solve(rhs)
+
+    def test_non_finite_lu_solution_raises(self, small_mesh, monkeypatch):
+        # NaN > tol is False, so only an explicit finiteness check stops a
+        # NaN solution from passing the residual test
+        cfg = sf.SolverConfig(nu=1e-3, tau=0.0125, t_end=1.0)
+        op = StepOperator(small_mesh, cfg)
+
+        class NanLU:
+            def solve(self, b):
+                return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(spla, "splu", lambda a: NanLU())
+        rhs = op.assemble_rhs(zero_state(small_mesh))
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            op.solve(rhs)
+
+    def test_non_finite_gmres_solution_raises(self, small_mesh, monkeypatch):
+        cfg = sf.SolverConfig(nu=1e-3, tau=0.0125, t_end=1.0,
+                              direct_threshold=1)
+        op = StepOperator(small_mesh, cfg)
+        monkeypatch.setattr(spla, "gmres", lambda a, b, **kw:
+                            (np.full_like(b, np.nan), 0))
+        rhs = op.assemble_rhs(zero_state(small_mesh))
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            op.solve(rhs)
+
 
 class TestTimeStep:
     def test_invariants_after_steps(self, small_mesh, cfg, operator):
