@@ -28,9 +28,7 @@ from .solver import (
     FieldState,
     SolverConfig,
     StepOperator,
-    assemble_step_system,
     run_simulation,
-    solve_linear_system,
     time_step,
     upstream_point,
 )
@@ -42,6 +40,6 @@ __all__ = [
     "ProfileKind", "ProfileParams", "SignConvention",
     "initial_velocity_curved", "initial_velocity_straight", "psi",
     "sample_initial_state",
-    "FieldState", "SolverConfig", "StepOperator", "assemble_step_system",
-    "run_simulation", "solve_linear_system", "time_step", "upstream_point",
+    "FieldState", "SolverConfig", "StepOperator", "run_simulation",
+    "time_step", "upstream_point",
 ]

@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="advance the simulation")
     _add_common(p)
     p.add_argument("--max-steps", type=int, default=None,
-                   help="stop after N new steps (interruption testing)")
+                   help="stop after N >= 0 new steps (interruption testing)")
 
     p = sub.add_parser("analyze", help="recompute diagnostics from snapshots")
     _add_common(p)

@@ -42,7 +42,6 @@ class RunConfig:
     delta_s0: float = 1.0
     linear_tol: float = 1.0e-8
     linear_max_iter: int = 0
-    stab_h: str = "global"
 
     n_planes: int = 100
     region_thresholds: tuple = (0.15, 0.4, 0.7)
@@ -52,7 +51,6 @@ class RunConfig:
     snapshot_interval: float = 0.1
     diagnostics_interval: float = 0.1
     checkpoint_interval: float = 0.5
-    seed: int = 0                          # reserved; unused by the pipeline
 
     # ---- derived objects -------------------------------------------------
 
@@ -77,7 +75,7 @@ class RunConfig:
                             delta_s0=self.delta_s0,
                             linear_tol=self.linear_tol,
                             linear_max_iter=self.linear_max_iter,
-                            forcing=forcing, stab_h=self.stab_h)
+                            forcing=forcing)
 
     def steps_per(self, interval: float, name: str) -> int:
         ratio = interval / self.tau
@@ -133,8 +131,6 @@ class RunConfig:
             bad("solver.delta_s0", "must be positive")
         if self.linear_tol <= 0:
             bad("solver.linear_tol", "must be positive")
-        if self.stab_h not in ("global", "element"):
-            bad("solver.stab_h", f"got {self.stab_h!r}")
         if self.n_planes < 1:
             bad("planes.count", "must be >= 1")
         rt = self.region_thresholds
@@ -175,7 +171,6 @@ _SCHEMA = {
         "delta_s0": ("delta_s0", float),
         "linear_tol": ("linear_tol", float),
         "linear_max_iter": ("linear_max_iter", int),
-        "stab_h": ("stab_h", str),
     },
     "planes": {
         "count": ("n_planes", int),
@@ -192,7 +187,6 @@ _SCHEMA = {
         "diagnostics_interval": ("diagnostics_interval", float),
         "checkpoint_interval": ("checkpoint_interval", float),
     },
-    "seed": ("seed", int),
 }
 
 
@@ -222,10 +216,6 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config key: {section!r}")
         spec = _SCHEMA[section]
-        if isinstance(spec, tuple):
-            attr, cast = spec
-            fields[attr] = cast(content)
-            continue
         if not isinstance(content, dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
         for key, value in content.items():
@@ -262,9 +252,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     """Nested-document form of a config (inverse of parse_config)."""
     doc: dict = {}
     for section, spec in _SCHEMA.items():
-        if isinstance(spec, tuple):
-            doc[section] = getattr(cfg, spec[0])
-            continue
         sec = {}
         for key, (attr, _) in spec.items():
             value = getattr(cfg, attr)

@@ -17,7 +17,7 @@ from .diagnostics import compute_record
 from .geometry import DomainKind, DomainSpec, build_straight_mesh, \
     cross_section_planes, map_to_torus
 from .initcond import sample_initial_state
-from .solver import StepOperator
+from .solver import StepOperator, run_simulation
 from .verify import convergence_study
 from .vtkio import record_to_row, row_to_record
 
@@ -82,9 +82,12 @@ def cmd_run(cfg: RunConfig, out_dir=None, max_steps=None):
     the diagnostics CSV; resumes from the latest checkpoint if one exists.
 
     max_steps limits the number of new steps this invocation takes (used to
-    exercise interruption/resume); the diagnostics CSV is flushed even when
-    stopping early or on error.
+    exercise interruption/resume; 0 writes only the t = 0 outputs of a fresh
+    run); the diagnostics CSV is flushed even when stopping early or on error.
     """
+    if max_steps is not None and max_steps < 0:
+        # rejected before any output is touched
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     out = resolve_output_dir(cfg, out_dir)
     spec, mesh = build_mesh(cfg)
     solver_cfg = cfg.solver_config()
@@ -96,6 +99,10 @@ def cmd_run(cfg: RunConfig, out_dir=None, max_steps=None):
     rows = []
     if resume is not None:
         state, stored_rows = vtkio.read_checkpoint(resume[1], mesh.n_nodes)
+        try:
+            state.validate(mesh)
+        except ValueError as exc:
+            raise ValueError(f"{resume[1]}: {exc}") from exc
         if stored_rows is not None:
             rows = [list(r) for r in stored_rows]
     else:
@@ -126,27 +133,12 @@ def cmd_run(cfg: RunConfig, out_dir=None, max_steps=None):
     op = StepOperator(mesh, solver_cfg)
     csv_path = out / "diagnostics.csv"
     try:
-        state = _run_limited(mesh, state, solver_cfg, op, sink, checkpoint,
-                             chk_steps, max_steps)
+        state = run_simulation(mesh, state, solver_cfg, sink=sink,
+                               checkpoint=checkpoint,
+                               checkpoint_every=chk_steps, operator=op,
+                               max_steps=max_steps)
     finally:
         vtkio.write_csv_rows(csv_path, rows, cfg.q_thresholds)
-    return state
-
-
-def _run_limited(mesh, state, solver_cfg, op, sink, checkpoint, chk_steps,
-                 max_steps):
-    from .solver import time_step
-
-    if state.step_index == 0:
-        sink(state)
-    start = state.step_index
-    for k in range(state.step_index + 1, solver_cfg.n_steps + 1):
-        state = time_step(mesh, state, solver_cfg, operator=op)
-        sink(state)
-        if chk_steps > 0 and k % chk_steps == 0:
-            checkpoint(state)
-        if max_steps is not None and k - start >= max_steps:
-            break
     return state
 
 

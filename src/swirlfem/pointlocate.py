@@ -33,14 +33,6 @@ class TetLocator:
         self._tinv = np.linalg.inv(edges)
         self._neighbors = mesh.neighbors()
         self._tree = cKDTree(mesh.tet_centroids())
-        # lowest-index tet incident to each node (walk seeds for nodal queries)
-        node_tet = np.full(mesh.n_nodes, mesh.n_tets, dtype=np.int64)
-        for i in range(4):
-            np.minimum.at(node_tet, mesh.tets[:, i], np.arange(mesh.n_tets))
-        self._node_tet = node_tet
-
-    def seed_for_node(self, node: int) -> int:
-        return int(self._node_tet[node])
 
     def barycentric(self, tet_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
         """(Q, 4) barycentric coordinates of points w.r.t. the given tets."""
@@ -133,10 +125,6 @@ class TetLocator:
                 if lam_n.min() >= -tol:
                     best = nbr
         return best
-
-    def contains(self, points, seeds=None) -> np.ndarray:
-        _, ok = self.locate_many(points, seeds=seeds)
-        return ok
 
     def interpolate_at(self, tet_ids: np.ndarray, points: np.ndarray,
                        field: np.ndarray) -> np.ndarray:

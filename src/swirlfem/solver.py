@@ -37,10 +37,6 @@ class FieldState:
     velocity: np.ndarray   # (n_nodes, 3)
     pressure: np.ndarray   # (n_nodes,)
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.step_index, self.time,
-                          self.velocity.copy(), self.pressure.copy())
-
     def validate(self, mesh: Mesh, gauge_tol: float = 1e-10):
         if self.velocity.shape != (mesh.n_nodes, 3):
             raise ValueError("velocity array does not match mesh node count")
@@ -66,7 +62,6 @@ class SolverConfig:
     linear_tol: float = 1e-8
     linear_max_iter: int = 0          # 0: 10x system size
     forcing: object = None            # f(points, t) -> (n, 3); verification only
-    stab_h: str = "global"            # "global" or "element" h in the stab term
     direct_threshold: int = 25_000    # sparse LU below; block-preconditioned
                                       # GMRES above (LU fill grows too fast)
 
@@ -77,8 +72,6 @@ class SolverConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.delta_s0 <= 0:
             raise ValueError(f"delta_s0 must be positive, got {self.delta_s0}")
-        if self.stab_h not in ("global", "element"):
-            raise ValueError(f"stab_h must be 'global' or 'element', got {self.stab_h!r}")
 
     @property
     def n_steps(self) -> int:
@@ -102,12 +95,6 @@ def upstream_point(mesh: Mesh, state: FieldState, x, tau: float,
     return pts[0]
 
 
-def locate_and_interpolate(mesh: Mesh, p, field_values: np.ndarray):
-    """P1 interpolation of a nodal field at an arbitrary interior point."""
-    from .pointlocate import locate_and_interpolate as _impl
-    return _impl(mesh, p, field_values)
-
-
 class StepOperator:
     """Assembled constant system plus per-step right-hand side machinery.
 
@@ -119,7 +106,6 @@ class StepOperator:
         self.mesh = mesh
         self.cfg = cfg
         self.locator = get_locator(mesh)
-        self.basis = fem.element_basis(mesh)
 
         interior = ~mesh.boundary_mask()
         self.interior_nodes = np.nonzero(interior)[0]
@@ -129,16 +115,11 @@ class StepOperator:
         mass = fem.assemble_mass(mesh)
         stiff = fem.assemble_stiffness(mesh)
         gx, gy, gz = fem.assemble_divergence(mesh)
-        self.mass = mass
-        self.lumped = fem.lumped_mass(mesh)
 
         ii = self.interior_nodes
         s_vel = (mass / cfg.tau + cfg.nu * stiff)[ii][:, ii].tocsr()
         g_blocks = [g[ii] for g in (gx, gy, gz)]
-        if cfg.stab_h == "global":
-            stab = cfg.delta_s0 * mesh.h ** 2 * stiff
-        else:
-            stab = cfg.delta_s0 * _element_h2_stiffness(mesh)
+        stab = cfg.delta_s0 * mesh.h ** 2 * stiff
 
         # The pressure is defined up to a constant (the stabilized continuity
         # rows annihilate constants, interior momentum rows likewise).  Pin
@@ -283,45 +264,6 @@ class StepOperator:
         return x
 
 
-@dataclass(eq=False)
-class StepSystem:
-    """One assembled step: constant matrix plus state-dependent rhs."""
-
-    operator: StepOperator
-    rhs: np.ndarray
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return self.operator.matrix
-
-
-def _element_h2_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Stabilization variant with per-element h_K^2 instead of global h^2."""
-    basis = fem.element_basis(mesh)
-    p = mesh.nodes[mesh.tets]
-    h2 = np.zeros(mesh.n_tets)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = p[:, i] - p[:, j]
-            h2 = np.maximum(h2, (d * d).sum(axis=1))
-    local = np.einsum("e,eik,ejk->eij", h2 * basis.volumes,
-                      basis.grads, basis.grads)
-    return fem._assemble(mesh, local)
-
-
-def assemble_step_system(mesh: Mesh, prev: FieldState, cfg: SolverConfig,
-                         operator: StepOperator | None = None) -> StepSystem:
-    """Weak form of one scheme step given the previous state."""
-    op = operator if operator is not None else StepOperator(mesh, cfg)
-    return StepSystem(operator=op, rhs=op.assemble_rhs(prev))
-
-
-def solve_linear_system(system: StepSystem):
-    """Solve an assembled step; velocity has exact zeros on the boundary and
-    the pressure comes back mean-zero."""
-    return system.operator.solve(system.rhs)
-
-
 def time_step(mesh: Mesh, prev: FieldState, cfg: SolverConfig,
               operator: StepOperator | None = None) -> FieldState:
     """Advance one step k-1 -> k."""
@@ -335,19 +277,26 @@ def time_step(mesh: Mesh, prev: FieldState, cfg: SolverConfig,
 def run_simulation(mesh: Mesh, initial: FieldState, cfg: SolverConfig,
                    sink=None, sink_every: int = 1,
                    checkpoint=None, checkpoint_every: int = 0,
-                   operator: StepOperator | None = None) -> FieldState:
+                   operator: StepOperator | None = None,
+                   max_steps: int | None = None) -> FieldState:
     """Advance from the given state to n_steps = floor(t_end / tau).
 
     sink(state) is invoked every sink_every steps (including step 0 when
     starting from scratch); checkpoint(state) likewise when enabled.  The
     initial state may be a checkpoint with step_index > 0, in which case
-    stepping resumes from there.
+    stepping resumes from there.  max_steps, when given, caps the number of
+    new steps taken by this call (0 takes none, but still emits step 0).
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     op = operator if operator is not None else StepOperator(mesh, cfg)
     state = initial
+    last = cfg.n_steps
+    if max_steps is not None:
+        last = min(last, state.step_index + max_steps)
     if sink is not None and state.step_index == 0:
         sink(state)
-    for k in range(state.step_index + 1, cfg.n_steps + 1):
+    for k in range(state.step_index + 1, last + 1):
         state = time_step(mesh, state, cfg, operator=op)
         if sink is not None and k % sink_every == 0:
             sink(state)

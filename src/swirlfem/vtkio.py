@@ -278,17 +278,8 @@ def format_csv_rows(rows, q_thresholds) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_csv(records, q_thresholds) -> str:
-    return format_csv_rows([record_to_row(rec, q_thresholds)
-                            for rec in records], q_thresholds)
-
-
 def write_csv_rows(path, rows, q_thresholds):
     _atomic_write(path, format_csv_rows(rows, q_thresholds))
-
-
-def write_diagnostics_csv(path, records, q_thresholds):
-    _atomic_write(path, format_csv(records, q_thresholds))
 
 
 def read_csv(path):

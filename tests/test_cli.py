@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from swirlfem import vtkio
+from swirlfem import solver, vtkio
 from swirlfem.cli import main
 from swirlfem.config import parse_config
 from swirlfem import pipeline
@@ -22,6 +22,16 @@ output:
 @pytest.fixture()
 def tiny_cfg():
     return parse_config(TINY)
+
+
+def set_wall_velocity(cfg, path, value):
+    """Rewrite a checkpoint with the velocity on the wall nodes set to value."""
+    with np.load(path) as data:
+        payload = dict(data)
+    mesh = pipeline.build_mesh(cfg)[1]
+    payload["velocity"][mesh.boundary_nodes] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 class TestPipeline:
@@ -64,6 +74,30 @@ class TestPipeline:
             == (part / "diagnostics.csv").read_bytes()
         for s1 in sorted(ref.glob("snapshot_*.vtk")):
             assert s1.read_bytes() == (part / s1.name).read_bytes()
+
+    def test_steps_go_through_solver_time_step(self, tiny_cfg, tmp_path,
+                                               monkeypatch):
+        # the benchmark's trace wraps solver.time_step; every step of a run
+        # must be looked up there
+        calls = []
+        step = solver.time_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "time_step", counted)
+        pipeline.cmd_run(tiny_cfg, tmp_path / "full")
+        assert len(calls) == 8
+        calls.clear()
+        pipeline.cmd_run(tiny_cfg, tmp_path / "part", max_steps=3)
+        assert len(calls) == 3
+
+    def test_resume_rejects_invalid_checkpoint(self, tiny_cfg, tmp_path):
+        pipeline.cmd_run(tiny_cfg, tmp_path, max_steps=5)
+        set_wall_velocity(tiny_cfg, tmp_path / "checkpoint_000004.npz", 1.0)
+        with pytest.raises(ValueError, match="boundary velocity"):
+            pipeline.cmd_run(tiny_cfg, tmp_path)
 
     def test_analyze_reproduces_run_csv(self, tiny_cfg, tmp_path):
         run_dir = tmp_path / "run"
@@ -120,6 +154,40 @@ class TestCli:
         rc = main(["mesh", "--set", "mesh.n_r=2", "--set", "mesh.n_z=2",
                    "--out", str(out)])
         assert rc == 0
+
+    def test_max_steps_zero_writes_only_initial_outputs(self, tmp_path,
+                                                       capsys):
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(TINY)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out),
+                     "--max-steps", "0"]) == 0
+        assert "finished at step 0" in capsys.readouterr().out
+        assert [p.name for p in out.glob("snapshot_*.vtk")] \
+            == ["snapshot_000000.vtk"]
+        assert not list(out.glob("checkpoint_*.npz"))
+        assert list(vtkio.read_csv(out / "diagnostics.csv")["t"]) == [0.0]
+
+    def test_negative_max_steps_exits_1(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(TINY)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out),
+                     "--max-steps", "-3"]) == 1
+        assert "max_steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_checkpoint_exits_1(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(TINY)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out),
+                     "--max-steps", "5"]) == 0
+        set_wall_velocity(parse_config(TINY), out / "checkpoint_000004.npz",
+                          1.0)
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint_000004.npz" in err and "boundary velocity" in err
 
     def test_user_errors_exit_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 1

@@ -1,6 +1,10 @@
-import pytest
+import string
 
-from swirlfem.config import ConfigError, RunConfig, parse_config, \
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from swirlfem.config import _SCHEMA, ConfigError, RunConfig, parse_config, \
     serialize_config
 
 
@@ -37,6 +41,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="solver.'taux'"):
             parse_config("solver:\n  taux: 0.1\n")
 
+    def test_removed_keys_are_unknown(self):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config("seed: 1\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config("solver: {stab_h: global}\n")
+
     def test_curved_requires_radius(self):
         with pytest.raises(ConfigError, match="domain.R"):
             parse_config("domain:\n  kind: curved\n")
@@ -61,6 +71,51 @@ class TestValidation:
             parse_config("domain: [unclosed")
 
 
+_positive = st.floats(1e-6, 1e6, allow_subnormal=False)
+
+
+@st.composite
+def config_documents(draw):
+    """A valid document that sets every key of the config schema."""
+    curved = draw(st.booleans())
+    profile = draw(st.sampled_from(["straight_frame", "curved_frame"]))
+    r_max = draw(_positive)
+    frame_radius = draw(st.none() | _positive)
+    if profile == "curved_frame" and not curved and frame_radius is None:
+        frame_radius = draw(_positive)
+    tau = draw(_positive)
+    steps = st.integers(1, 1000)
+    return {
+        "domain": {"kind": "curved" if curved else "straight",
+                   "r_max": r_max, "a": draw(_positive),
+                   "R": r_max + draw(st.floats(1e-3, 1e3)) if curved
+                   else None},
+        "profile": {"kind": profile,
+                    "eps": draw(st.lists(_positive, min_size=6, max_size=6)),
+                    "beta": draw(st.lists(st.floats(-1e6, 1e6),
+                                          min_size=6, max_size=6)),
+                    "sign_at_zero": draw(st.sampled_from(["zero", "plus"])),
+                    "frame_radius": frame_radius},
+        "mesh": {"n_r": draw(st.integers(2, 64)),
+                 "n_z": draw(st.integers(2, 64))},
+        "solver": {"reynolds": draw(_positive), "tau": tau,
+                   "t_end": draw(_positive), "delta_s0": draw(_positive),
+                   "linear_tol": draw(_positive),
+                   "linear_max_iter": draw(st.integers(0, 10 ** 6))},
+        "planes": {"count": draw(st.integers(1, 1000))},
+        "regions": {"thresholds": sorted(draw(st.lists(
+            _positive, min_size=3, max_size=3, unique=True)))},
+        "vortex": {"q_thresholds": draw(st.lists(_positive, min_size=1,
+                                                 max_size=5))},
+        "output": {"directory": draw(st.text(
+                       string.ascii_letters + string.digits + "_-./~",
+                       min_size=1, max_size=12)),
+                   "snapshot_interval": draw(steps) * tau,
+                   "diagnostics_interval": draw(steps) * tau,
+                   "checkpoint_interval": draw(steps) * tau},
+    }
+
+
 class TestRoundTrip:
     def test_serialize_parse_identity(self):
         cfg = parse_config("""
@@ -73,12 +128,24 @@ regions: {thresholds: [0.1, 0.3, 0.6]}
 vortex: {q_thresholds: [10.0, 20.0]}
 output: {directory: results, snapshot_interval: 0.05,
          diagnostics_interval: 0.1, checkpoint_interval: 0.5}
-seed: 7
 """)
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_default_roundtrip(self):
         cfg = parse_config("")
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=config_documents())
+    def test_random_documents_roundtrip(self, doc):
+        assert {(sec, key) for sec, keys in doc.items() for key in keys} \
+            == {(sec, key) for sec, keys in _SCHEMA.items() for key in keys}
+        cfg = parse_config(yaml.safe_dump(doc))
+        for sec, keys in _SCHEMA.items():
+            for key, (attr, _) in keys.items():
+                value = doc[sec][key]
+                expected = tuple(value) if isinstance(value, list) else value
+                assert getattr(cfg, attr) == expected, f"{sec}.{key}"
         assert parse_config(serialize_config(cfg)) == cfg
 
 

@@ -80,10 +80,9 @@ class TestCheckpoint:
 
 class TestDiagnosticsCsv:
     @staticmethod
-    def one_record(mesh, spec, t=0.0):
+    def one_record(mesh, spec):
         state = sf.sample_initial_state(
             mesh, sf.ProfileKind.STRAIGHT_FRAME, spec)
-        state.time = t
         return dg.compute_record(state, mesh, spec)
 
     def test_column_layout(self):
@@ -98,23 +97,13 @@ class TestDiagnosticsCsv:
         sf.cross_section_planes(straight_spec, 10, mesh=mesh)
         rec = self.one_record(mesh, straight_spec)
         path = tmp_path / "diag.csv"
-        vtkio.write_diagnostics_csv(path, [rec], (50.0, 250.0, 750.0))
+        q = (50.0, 250.0, 750.0)
+        vtkio.write_csv_rows(path, [vtkio.record_to_row(rec, q)], q)
         data = vtkio.read_csv(path)
         assert data["t"][0] == rec.t
         assert data["E_total"][0] == rec.e_total
         assert data["L_z"][0] == rec.l_total[2]
         assert data["planes_skipped"][0] == rec.planes_skipped
-
-    def test_record_and_row_writers_agree(self, straight_spec, tmp_path):
-        mesh = sf.build_straight_mesh(straight_spec, n_r=4, n_z=5)
-        sf.cross_section_planes(straight_spec, 10, mesh=mesh)
-        q = (50.0, 250.0, 750.0)
-        recs = [self.one_record(mesh, straight_spec, t) for t in (0.0, 0.5)]
-        vtkio.write_diagnostics_csv(tmp_path / "a.csv", recs, q)
-        vtkio.write_csv_rows(tmp_path / "b.csv",
-                             [vtkio.record_to_row(r, q) for r in recs], q)
-        assert (tmp_path / "a.csv").read_bytes() \
-            == (tmp_path / "b.csv").read_bytes()
 
     def test_row_record_roundtrip(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=4, n_z=5)

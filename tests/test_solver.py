@@ -35,8 +35,6 @@ class TestConfig:
             sf.SolverConfig(nu=1.0, tau=-0.1, t_end=1.0)
         with pytest.raises(ValueError):
             sf.SolverConfig(nu=1.0, tau=0.1, t_end=1.0, delta_s0=0.0)
-        with pytest.raises(ValueError):
-            sf.SolverConfig(nu=1.0, tau=0.1, t_end=1.0, stab_h="nope")
 
 
 class TestUpstreamPoint:
@@ -75,10 +73,10 @@ class TestStepSystem:
     def test_assemble_and_solve_api(self, small_mesh, cfg, operator):
         state = sf.sample_initial_state(
             small_mesh, sf.ProfileKind.STRAIGHT_FRAME, sf.straight_domain())
-        system = sf.assemble_step_system(small_mesh, state, cfg,
-                                         operator=operator)
-        assert system.matrix.shape == (operator.n_unknowns, operator.n_unknowns)
-        vel, pres = sf.solve_linear_system(system)
+        rhs = operator.assemble_rhs(state)
+        assert operator.matrix.shape == (operator.n_unknowns,
+                                         operator.n_unknowns)
+        vel, pres = operator.solve(rhs)
         assert np.abs(vel[small_mesh.boundary_nodes]).max() == 0.0
         assert abs(pres.mean()) <= 1e-10
         assert np.isfinite(vel).all() and np.isfinite(pres).all()
@@ -253,3 +251,33 @@ class TestRunSimulation:
         assert resumed.step_index == full.step_index
         assert np.array_equal(resumed.velocity, full.velocity)
         assert np.array_equal(resumed.pressure, full.pressure)
+
+    def test_max_steps_caps_new_steps(self, straight_spec):
+        mesh = sf.build_straight_mesh(straight_spec, n_r=2, n_z=2)
+        cfg = sf.SolverConfig(nu=1e-3, tau=0.025, t_end=0.2)
+        op = StepOperator(mesh, cfg)
+        init = sf.sample_initial_state(
+            mesh, sf.ProfileKind.STRAIGHT_FRAME, straight_spec)
+        full = sf.run_simulation(mesh, init, cfg, operator=op)
+
+        seen, saved = [], []
+        part = sf.run_simulation(mesh, init, cfg, operator=op, max_steps=3,
+                                 sink=lambda s: seen.append(s.step_index),
+                                 checkpoint=lambda s: saved.append(
+                                     s.step_index),
+                                 checkpoint_every=2)
+        assert part.step_index == 3
+        assert seen == [0, 1, 2, 3] and saved == [2]
+
+        # the cap never runs past n_steps
+        rest = sf.run_simulation(mesh, part, cfg, operator=op, max_steps=100)
+        assert rest.step_index == full.step_index == 8
+        assert np.array_equal(rest.velocity, full.velocity)
+        assert np.array_equal(rest.pressure, full.pressure)
+
+        seen.clear()
+        none = sf.run_simulation(mesh, init, cfg, operator=op, max_steps=0,
+                                 sink=lambda s: seen.append(s.step_index))
+        assert none is init and seen == [0]
+        with pytest.raises(ValueError, match="max_steps"):
+            sf.run_simulation(mesh, init, cfg, operator=op, max_steps=-1)
