@@ -41,7 +41,6 @@ class RunConfig:
     t_end: float = 3.0
     delta_s0: float = 1.0
     linear_tol: float = 1.0e-8
-    linear_max_iter: int = 0
 
     n_planes: int = 100
     region_thresholds: tuple = (0.15, 0.4, 0.7)
@@ -74,7 +73,6 @@ class RunConfig:
         return SolverConfig(nu=self.nu, tau=self.tau, t_end=self.t_end,
                             delta_s0=self.delta_s0,
                             linear_tol=self.linear_tol,
-                            linear_max_iter=self.linear_max_iter,
                             forcing=forcing)
 
     def steps_per(self, interval: float, name: str) -> int:
@@ -170,7 +168,6 @@ _SCHEMA = {
         "t_end": ("t_end", float),
         "delta_s0": ("delta_s0", float),
         "linear_tol": ("linear_tol", float),
-        "linear_max_iter": ("linear_max_iter", int),
     },
     "planes": {
         "count": ("n_planes", int),

@@ -1,4 +1,5 @@
-"""P1 element machinery: basis gradients, block assembly, mesh norms.
+"""P1 element machinery on the mesh's cached geometry: block assembly,
+quadrature, mesh norms.
 
 Mass, stiffness and divergence-coupling integrals of P1 products are exact;
 only the semi-Lagrangian right-hand side (solver module) needs a quadrature
@@ -8,7 +9,7 @@ rule, provided here as the 4-point degree-2 tet rule.
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Mesh, signed_tet_volumes
+from .geometry import Mesh
 
 # 4-point symmetric tet quadrature, exact for quadratics; rows are the
 # barycentric coordinates of the points, weights are 1/4 each.
@@ -23,29 +24,6 @@ TET4_BARY = np.array([
 TET4_WEIGHT = 0.25
 
 
-class ElementBasis:
-    """Per-element volumes and constant P1 basis gradients."""
-
-    def __init__(self, mesh: Mesh):
-        p = mesh.nodes[mesh.tets]
-        edges = np.stack([p[:, 1] - p[:, 0],
-                          p[:, 2] - p[:, 0],
-                          p[:, 3] - p[:, 0]], axis=2)
-        tinv = np.linalg.inv(edges)
-        grads = np.empty((mesh.n_tets, 4, 3))
-        grads[:, 1:, :] = tinv
-        grads[:, 0, :] = -tinv.sum(axis=1)
-        self.grads = grads
-        self.volumes = signed_tet_volumes(mesh.nodes, mesh.tets)
-
-
-def element_basis(mesh: Mesh) -> ElementBasis:
-    """Per-mesh cached basis, stored on the mesh."""
-    if mesh._basis is None:
-        mesh._basis = ElementBasis(mesh)
-    return mesh._basis
-
-
 def _assemble(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
     """Scatter (n_tets, 4, 4) local matrices into a CSR matrix."""
     n = mesh.n_nodes
@@ -57,16 +35,15 @@ def _assemble(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix: int(phi_i phi_j) = V (1 + delta_ij) / 20."""
-    basis = element_basis(mesh)
     base = (np.ones((4, 4)) + np.eye(4)) / 20.0
-    local = basis.volumes[:, None, None] * base[None]
+    local = mesh.tet_volumes()[:, None, None] * base[None]
     return _assemble(mesh, local)
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """P1 stiffness matrix: int(grad phi_i . grad phi_j)."""
-    basis = element_basis(mesh)
-    local = np.einsum("e,eik,ejk->eij", basis.volumes, basis.grads, basis.grads)
+    grads = mesh.basis_gradients()
+    local = np.einsum("e,eik,ejk->eij", mesh.tet_volumes(), grads, grads)
     return _assemble(mesh, local)
 
 
@@ -76,11 +53,11 @@ def assemble_divergence(mesh: Mesh):
     G_d p gives the pressure term of the momentum rows; G_d^T v_d accumulates
     the discrete divergence rows.
     """
-    basis = element_basis(mesh)
+    vol, grads = mesh.tet_volumes(), mesh.basis_gradients()
     blocks = []
     for d in range(3):
         # d(phi_i)/dx_d is element-constant and int(phi_j) = V/4
-        local = (basis.volumes[:, None] / 4.0 * basis.grads[:, :, d])[:, :, None]
+        local = (vol[:, None] / 4.0 * grads[:, :, d])[:, :, None]
         local = np.broadcast_to(local, (mesh.n_tets, 4, 4))
         blocks.append(_assemble(mesh, np.ascontiguousarray(local)))
     return tuple(blocks)
@@ -88,8 +65,7 @@ def assemble_divergence(mesh: Mesh):
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
     """Row-sum lumped mass vector (V_e / 4 to each vertex)."""
-    basis = element_basis(mesh)
-    w = np.repeat(basis.volumes / 4.0, 4)
+    w = np.repeat(mesh.tet_volumes() / 4.0, 4)
     return np.bincount(mesh.tets.ravel(), weights=w, minlength=mesh.n_nodes)
 
 
@@ -112,18 +88,17 @@ def scatter_quadrature_load(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     values has shape (n_tets, 4) or (n_tets, 4, ncomp); returns (n_nodes,)
     or (n_nodes, ncomp).
     """
-    basis = element_basis(mesh)
+    vol = mesh.tet_volumes()
     if values.ndim == 3:
         local = TET4_WEIGHT * np.einsum(
-            "e,qv,eqd->evd", basis.volumes, TET4_BARY, values)
+            "e,qv,eqd->evd", vol, TET4_BARY, values)
         out = np.empty((mesh.n_nodes, values.shape[2]))
         for d in range(values.shape[2]):
             out[:, d] = np.bincount(mesh.tets.ravel(),
                                     weights=local[:, :, d].ravel(),
                                     minlength=mesh.n_nodes)
         return out
-    local = TET4_WEIGHT * np.einsum("e,qv,eq->ev",
-                                    basis.volumes, TET4_BARY, values)
+    local = TET4_WEIGHT * np.einsum("e,qv,eq->ev", vol, TET4_BARY, values)
     return np.bincount(mesh.tets.ravel(), weights=local.ravel(),
                        minlength=mesh.n_nodes)
 
@@ -134,17 +109,16 @@ def gradient_per_element(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
     Returns (n_tets, 3) for scalar input, (n_tets, ncomp, 3) for vector
     input (rows = components, columns = derivative directions).
     """
-    basis = element_basis(mesh)
+    grads = mesh.basis_gradients()
     vals = nodal[mesh.tets]
     if vals.ndim == 3:
-        return np.einsum("evc,evd->ecd", vals, basis.grads)
-    return np.einsum("ev,evd->ed", vals, basis.grads)
+        return np.einsum("evc,evd->ecd", vals, grads)
+    return np.einsum("ev,evd->ed", vals, grads)
 
 
-def mesh_l2_norm(mesh: Mesh, nodal: np.ndarray,
-                 mass: sp.csr_matrix | None = None) -> float:
+def mesh_l2_norm(mesh: Mesh, nodal: np.ndarray) -> float:
     """L2 norm of a P1 field (component-wise via the consistent mass)."""
-    m = mass if mass is not None else assemble_mass(mesh)
+    m = assemble_mass(mesh)
     x = np.atleast_2d(nodal.T).T  # (n, c)
     total = 0.0
     for d in range(x.shape[1]):
@@ -154,15 +128,13 @@ def mesh_l2_norm(mesh: Mesh, nodal: np.ndarray,
 
 def mesh_h1_seminorm(mesh: Mesh, nodal: np.ndarray) -> float:
     """H1 seminorm: sqrt(sum_e V_e |grad u|^2) with element gradients."""
-    basis = element_basis(mesh)
     g = gradient_per_element(mesh, nodal)
     sq = (g * g).sum(axis=tuple(range(1, g.ndim)))
-    return float(np.sqrt((basis.volumes * sq).sum()))
+    return float(np.sqrt((mesh.tet_volumes() * sq).sum()))
 
 
 def divergence_l2(mesh: Mesh, velocity: np.ndarray) -> float:
     """L2 norm of the element-wise divergence of a P1 velocity field."""
-    basis = element_basis(mesh)
     g = gradient_per_element(mesh, velocity)
     div = g[:, 0, 0] + g[:, 1, 1] + g[:, 2, 2]
-    return float(np.sqrt((basis.volumes * div * div).sum()))
+    return float(np.sqrt((mesh.tet_volumes() * div * div).sum()))

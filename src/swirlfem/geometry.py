@@ -18,9 +18,6 @@ import numpy as np
 # Inward offset used when nudging points off the boundary.
 GEOM_EPS = 1e-10
 
-# Marker value for wall boundary faces (the only boundary kind here).
-WALL = 1
-
 
 class DomainKind(Enum):
     STRAIGHT = "straight"
@@ -88,16 +85,16 @@ class PlaneDescriptor:
 
 @dataclass(eq=False)
 class Mesh:
-    """Conforming tetrahedral mesh with boundary tagging.
+    """Conforming tetrahedral mesh; every boundary face is wall.
 
     tets are stored with positive signed volume.  plane_bin is filled by
-    cross_section_planes(); adjacency caches are built lazily.
+    cross_section_planes().  The per-element geometry (volumes, centroids,
+    basis gradients) and the adjacency are cached here, built on first use.
     """
 
     nodes: np.ndarray            # (n_nodes, 3) float64
     tets: np.ndarray             # (n_tets, 4) int
     boundary_faces: np.ndarray   # (n_bfaces, 3) int
-    boundary_markers: np.ndarray  # (n_bfaces,) int, all WALL
     boundary_nodes: np.ndarray   # sorted unique node ids
     h: float                     # mesh size: maximum edge length
     plane_bin: np.ndarray | None = None   # (n_nodes,) int
@@ -107,9 +104,7 @@ class Mesh:
     _centroids: np.ndarray | None = field(default=None, repr=False)
     _neighbors: np.ndarray | None = field(default=None, repr=False)
     _boundary_mask: np.ndarray | None = field(default=None, repr=False)
-    # built on first use by fem.element_basis / pointlocate.get_locator
-    _basis: object = field(default=None, repr=False)
-    _locator: object = field(default=None, repr=False)
+    _grads: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -123,6 +118,21 @@ class Mesh:
         if self._volumes is None:
             self._volumes = signed_tet_volumes(self.nodes, self.tets)
         return self._volumes
+
+    def basis_gradients(self) -> np.ndarray:
+        """(n_tets, 4, 3) P1 basis gradients; rows 1..3 are the inverted edge
+        matrix [p1-p0, p2-p0, p3-p0], which also gives barycentrics 1..3."""
+        if self._grads is None:
+            p = self.nodes[self.tets]
+            edges = np.stack([p[:, 1] - p[:, 0],
+                              p[:, 2] - p[:, 0],
+                              p[:, 3] - p[:, 0]], axis=2)
+            tinv = np.linalg.inv(edges)
+            grads = np.empty((self.n_tets, 4, 3))
+            grads[:, 1:, :] = tinv
+            grads[:, 0, :] = -tinv.sum(axis=1)
+            self._grads = grads
+        return self._grads
 
     def total_volume(self) -> float:
         return float(self.tet_volumes().sum())
@@ -144,23 +154,21 @@ class Mesh:
         """(n_tets, 4) tet index across the face opposite each local vertex,
         -1 on boundary faces."""
         if self._neighbors is None:
-            self._neighbors = _tet_neighbors(self.tets)
+            self._neighbors = _face_adjacency(self.tets)[0]
         return self._neighbors
 
     def with_nodes(self, nodes: np.ndarray) -> "Mesh":
         """Same connectivity on new coordinates; h recomputed, caches reset
-        (only the neighbor table survives: the volumes, centroids, element
-        basis and locator all depend on the coordinates)."""
-        m = Mesh(
+        (only the neighbor table survives: the volumes, centroids and basis
+        gradients all depend on the coordinates)."""
+        return Mesh(
             nodes=np.ascontiguousarray(nodes, dtype=float),
             tets=self.tets,
             boundary_faces=self.boundary_faces,
-            boundary_markers=self.boundary_markers,
             boundary_nodes=self.boundary_nodes,
             h=max_edge_length(nodes, self.tets),
+            _neighbors=self._neighbors,  # connectivity unchanged
         )
-        m._neighbors = self._neighbors  # connectivity unchanged
-        return m
 
 
 def signed_tet_volumes(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -251,50 +259,33 @@ def _orient_positive(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return tets
 
 
-def _face_table(tets: np.ndarray):
-    """All tet faces as sorted vertex triples.
+def _face_adjacency(tets: np.ndarray):
+    """(neighbors, boundary_faces) from one sort of the face table; the
+    boundary faces come out as sorted vertex triples in lexicographic order.
 
-    Returns (faces (4M,3) sorted rows, tet id, local face id); local face i
-    is the one opposite vertex i.
+    Row 4 e + i of the face table is the face of tet e opposite its local
+    vertex i, which is also the flat index of neighbors[e, i]; the owner and
+    local id are recovered from it instead of being stored.
     """
-    m = len(tets)
     opp = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-    faces = np.empty((4 * m, 3), dtype=np.int64)
-    for i, (p, q, r) in enumerate(opp):
-        faces[i::4, 0] = tets[:, p]
-        faces[i::4, 1] = tets[:, q]
-        faces[i::4, 2] = tets[:, r]
+    faces = np.empty((4 * len(tets), 3), dtype=np.int64)
+    for i, cols in enumerate(opp):
+        faces[i::4] = tets[:, cols]
     faces.sort(axis=1)
-    owner = np.repeat(np.arange(m), 4)
-    local = np.tile(np.arange(4), m)
-    return faces, owner, local
-
-
-def _tet_neighbors(tets: np.ndarray) -> np.ndarray:
-    faces, owner, local = _face_table(tets)
     order = np.lexsort(faces.T[::-1])
     f = faces[order]
-    own = owner[order]
-    loc = local[order]
-    nbr = np.full((len(tets), 4), -1, dtype=np.int64)
+    del faces
     same = (f[1:] == f[:-1]).all(axis=1)
     i = np.nonzero(same)[0]
-    nbr[own[i], loc[i]] = own[i + 1]
-    nbr[own[i + 1], loc[i + 1]] = own[i]
-    return nbr
-
-
-def _boundary_faces(tets: np.ndarray) -> np.ndarray:
-    faces, owner, local = _face_table(tets)
-    order = np.lexsort(faces.T[::-1])
-    f = faces[order]
-    count = np.ones(len(f), dtype=np.int64)
-    same = (f[1:] == f[:-1]).all(axis=1)
+    a, b = order[i], order[i + 1]
+    nbr = np.full(4 * len(tets), -1, dtype=np.int64)
+    nbr[a] = b // 4
+    nbr[b] = a // 4
     # faces appear once or twice; single occurrences are the boundary
     keep = np.ones(len(f), dtype=bool)
     keep[:-1] &= ~same
     keep[1:] &= ~same
-    return f[keep]
+    return nbr.reshape(-1, 4), f[keep]
 
 
 def build_straight_mesh(spec: DomainSpec, n_r: int, n_z: int) -> Mesh:
@@ -322,15 +313,14 @@ def build_straight_mesh(spec: DomainSpec, n_r: int, n_z: int) -> Mesh:
     tets = _split_prisms(prisms, n_disk)
     tets = _orient_positive(nodes, tets)
 
-    bfaces = _boundary_faces(tets)
-    bnodes = np.unique(bfaces)
+    nbr, bfaces = _face_adjacency(tets)
     return Mesh(
         nodes=nodes,
         tets=tets,
         boundary_faces=bfaces,
-        boundary_markers=np.full(len(bfaces), WALL, dtype=np.int8),
-        boundary_nodes=bnodes,
+        boundary_nodes=np.unique(bfaces),
         h=max_edge_length(nodes, tets),
+        _neighbors=nbr,
     )
 
 

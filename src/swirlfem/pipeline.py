@@ -11,6 +11,8 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
+
 from . import vtkio
 from .config import RunConfig
 from .diagnostics import compute_record
@@ -146,13 +148,17 @@ _SNAP_TITLE_RE = re.compile(r"step=(\d+) t=([^\s]+)")
 
 
 def read_snapshot(path, mesh):
-    """Load a snapshot VTK back into a FieldState (exact values)."""
+    """Load a snapshot VTK back into a FieldState (exact values); its nodes
+    and tets must equal the mesh's, which %.17g round-trips exactly."""
     from .solver import FieldState
 
     nodes, tets, pdata, _ = vtkio.read_vtk(path)
-    if len(nodes) != mesh.n_nodes:
+    if not (np.array_equal(nodes, mesh.nodes)
+            and np.array_equal(tets, mesh.tets)):
         raise ValueError(
-            f"{path}: snapshot has {len(nodes)} nodes, mesh has {mesh.n_nodes}"
+            f"{path}: snapshot mesh ({len(nodes)} nodes, {len(tets)} tets) "
+            f"differs from the configured mesh ({mesh.n_nodes} nodes, "
+            f"{mesh.n_tets} tets)"
         )
     with open(path) as fh:
         fh.readline()

@@ -13,6 +13,10 @@ from .geometry import GEOM_EPS, Mesh
 
 # Barycentric slack accepting points on faces/edges as inside.
 BARY_TOL = 1e-10
+# Face crossings a walk may take before the point goes to the fallback.
+MAX_WALK = 256
+# Bisection steps locating the boundary crossing of a clamped segment.
+BISECTIONS = 40
 
 
 class PointLocationError(RuntimeError):
@@ -22,15 +26,10 @@ class PointLocationError(RuntimeError):
 class TetLocator:
     """Reusable locator for one mesh; read-only after construction."""
 
-    def __init__(self, mesh: Mesh, max_walk: int = 256):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.max_walk = max_walk
-        p = mesh.nodes[mesh.tets]
-        edges = np.stack([p[:, 1] - p[:, 0],
-                          p[:, 2] - p[:, 0],
-                          p[:, 3] - p[:, 0]], axis=2)
-        self._v0 = p[:, 0]
-        self._tinv = np.linalg.inv(edges)
+        self._v0 = mesh.nodes[mesh.tets[:, 0]]
+        self._tinv = mesh.basis_gradients()[:, 1:]
         self._neighbors = mesh.neighbors()
         self._tree = cKDTree(mesh.tet_centroids())
 
@@ -41,7 +40,7 @@ class TetLocator:
         lam0 = 1.0 - lam.sum(axis=1)
         return np.concatenate([lam0[:, None], lam], axis=1)
 
-    def locate_many(self, points: np.ndarray, seeds=None, tol: float = BARY_TOL,
+    def locate_many(self, points: np.ndarray, seeds=None,
                     fallback: bool = True):
         """Locate each point; returns (tet_ids, found_mask).
 
@@ -57,13 +56,13 @@ class TetLocator:
         result = np.full(n, -1, dtype=np.int64)
         active = np.arange(n)
 
-        for _ in range(self.max_walk):
+        for _ in range(MAX_WALK):
             if len(active) == 0:
                 break
             lam = self.barycentric(cur[active], pts[active])
             worst = np.argmin(lam, axis=1)
             lmin = lam[np.arange(len(active)), worst]
-            inside = lmin >= -tol
+            inside = lmin >= -BARY_TOL
             result[active[inside]] = cur[active[inside]]
             moving = ~inside
             nxt = self._neighbors[cur[active[moving]], worst[moving]]
@@ -75,10 +74,10 @@ class TetLocator:
         if fallback:
             missing = np.nonzero(result < 0)[0]
             if len(missing):
-                result[missing] = self._locate_fallback(pts[missing], tol)
+                result[missing] = self._locate_fallback(pts[missing])
         return result, result >= 0
 
-    def _locate_fallback(self, pts: np.ndarray, tol: float) -> np.ndarray:
+    def _locate_fallback(self, pts: np.ndarray) -> np.ndarray:
         out = np.full(len(pts), -1, dtype=np.int64)
         k = min(32, self.mesh.n_tets)
         _, cand = self._tree.query(pts, k=k)
@@ -86,25 +85,25 @@ class TetLocator:
         for i in range(len(pts)):
             ids = np.sort(cand[i])
             lam = self.barycentric(ids, np.repeat(pts[i][None], len(ids), axis=0))
-            ok = np.nonzero(lam.min(axis=1) >= -tol)[0]
+            ok = np.nonzero(lam.min(axis=1) >= -BARY_TOL)[0]
             if len(ok):
                 out[i] = ids[ok[0]]
         left = np.nonzero(out < 0)[0]
         for i in left:
-            out[i] = self._locate_exhaustive(pts[i], tol)
+            out[i] = self._locate_exhaustive(pts[i])
         return out
 
-    def _locate_exhaustive(self, p: np.ndarray, tol: float) -> int:
+    def _locate_exhaustive(self, p: np.ndarray) -> int:
         chunk = 65536
         for start in range(0, self.mesh.n_tets, chunk):
             ids = np.arange(start, min(start + chunk, self.mesh.n_tets))
             lam = self.barycentric(ids, np.repeat(p[None], len(ids), axis=0))
-            ok = np.nonzero(lam.min(axis=1) >= -tol)[0]
+            ok = np.nonzero(lam.min(axis=1) >= -BARY_TOL)[0]
             if len(ok):
                 return int(ids[ok[0]])  # lowest containing tet wins
         return -1
 
-    def locate(self, point, seed=None, tol: float = BARY_TOL) -> int:
+    def locate(self, point, seed=None) -> int:
         """Containing tet of a single point, -1 if outside.
 
         Points on shared faces resolve to the lowest-index containing tet
@@ -112,17 +111,17 @@ class TetLocator:
         """
         p = np.asarray(point, dtype=float)
         seeds = None if seed is None else [seed]
-        ids, ok = self.locate_many(p[None], seeds=seeds, tol=tol)
+        ids, ok = self.locate_many(p[None], seeds=seeds)
         if not ok[0]:
             return -1
         t = int(ids[0])
         lam = self.barycentric(np.array([t]), p[None])[0]
         best = t
-        for i in np.nonzero(np.abs(lam) <= tol)[0]:
+        for i in np.nonzero(np.abs(lam) <= BARY_TOL)[0]:
             nbr = int(self._neighbors[t, i])
             if 0 <= nbr < best:
                 lam_n = self.barycentric(np.array([nbr]), p[None])[0]
-                if lam_n.min() >= -tol:
+                if lam_n.min() >= -BARY_TOL:
                     best = nbr
         return best
 
@@ -136,7 +135,7 @@ class TetLocator:
         return np.einsum("qi,qi->q", lam, vals)
 
     def clamp_inside(self, origins: np.ndarray, targets: np.ndarray,
-                     seeds=None, bisections: int = 40):
+                     seeds=None):
         """Pull targets that left the mesh back along the segment from their
         (inside) origin to just inside the last boundary crossing.
 
@@ -153,7 +152,7 @@ class TetLocator:
             hi = np.ones(len(bad))
             d = pts[bad] - orig[bad]
             bad_seeds = None if seeds is None else np.asarray(seeds)[bad]
-            for _ in range(bisections):
+            for _ in range(BISECTIONS):
                 mid = 0.5 * (lo + hi)
                 trial = orig[bad] + mid[:, None] * d
                 _, inside = self.locate_many(trial, seeds=bad_seeds,
@@ -182,7 +181,7 @@ class TetLocator:
 def locate_and_interpolate(mesh: Mesh, p, field: np.ndarray,
                            locator: TetLocator | None = None):
     """Locate p and return the P1 interpolation of the nodal field there."""
-    loc = locator if locator is not None else get_locator(mesh)
+    loc = locator if locator is not None else TetLocator(mesh)
     t = loc.locate(p)
     if t < 0:
         raise PointLocationError(f"point {np.asarray(p)} is outside the mesh")
@@ -190,10 +189,3 @@ def locate_and_interpolate(mesh: Mesh, p, field: np.ndarray,
                              np.asarray(field))
     return val[0]
 
-
-def get_locator(mesh: Mesh) -> TetLocator:
-    """Per-mesh cached locator, stored on the mesh (construction is the
-    expensive part)."""
-    if mesh._locator is None:
-        mesh._locator = TetLocator(mesh)
-    return mesh._locator

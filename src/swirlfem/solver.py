@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .geometry import Mesh
-from .pointlocate import TetLocator, get_locator
+from .pointlocate import TetLocator
 
 
 class ConvergenceError(RuntimeError):
@@ -60,7 +60,6 @@ class SolverConfig:
     t_end: float
     delta_s0: float = 1.0
     linear_tol: float = 1e-8
-    linear_max_iter: int = 0          # 0: 10x system size
     forcing: object = None            # f(points, t) -> (n, 3); verification only
     direct_threshold: int = 25_000    # sparse LU below; block-preconditioned
                                       # GMRES above (LU fill grows too fast)
@@ -84,7 +83,7 @@ def upstream_point(mesh: Mesh, state: FieldState, x, tau: float,
                    locator: TetLocator | None = None) -> np.ndarray:
     """Foot of the characteristic through x: x - v(x) tau, clamped to stay
     inside the mesh (pulled back along the segment and nudged inward)."""
-    loc = locator if locator is not None else get_locator(mesh)
+    loc = locator if locator is not None else TetLocator(mesh)
     p = np.asarray(x, dtype=float)
     tet = loc.locate(p)
     if tet < 0:
@@ -105,7 +104,7 @@ class StepOperator:
     def __init__(self, mesh: Mesh, cfg: SolverConfig):
         self.mesh = mesh
         self.cfg = cfg
-        self.locator = get_locator(mesh)
+        self.locator = TetLocator(mesh)
 
         interior = ~mesh.boundary_mask()
         self.interior_nodes = np.nonzero(interior)[0]
@@ -247,7 +246,7 @@ class StepOperator:
             self._block_prec = spla.LinearOperator(
                 (3 * n + m, 3 * n + m), apply)
 
-        maxiter = cfg.linear_max_iter or 10 * self.n_unknowns
+        maxiter = 10 * self.n_unknowns
         rtol = 0.02 * cfg.linear_tol
         bnorm = float(np.linalg.norm(rhs))
         for _ in range(3):

@@ -346,7 +346,6 @@ def test_acceptance_7_structure_extraction(medium_mesh, desk_runs):
     import swirlfem.geometry as geo
     permuted = geo.Mesh(nodes=medium_mesh.nodes, tets=medium_mesh.tets[perm],
                         boundary_faces=medium_mesh.boundary_faces,
-                        boundary_markers=medium_mesh.boundary_markers,
                         boundary_nodes=medium_mesh.boundary_nodes,
                         h=medium_mesh.h)
     out_p = dg.connected_vortex_structures(permuted, q[perm], 50.0)

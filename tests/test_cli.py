@@ -121,6 +121,18 @@ class TestPipeline:
         with pytest.raises(ValueError, match="nodes"):
             pipeline.cmd_analyze(other, snaps, tmp_path / "ana")
 
+    def test_read_snapshot_rejects_another_mesh(self, tiny_cfg, tmp_path):
+        # same node and tet counts, different coordinates
+        pipeline.cmd_run(tiny_cfg, tmp_path, max_steps=0)
+        snap = tmp_path / "snapshot_000000.vtk"
+        curved = parse_config(TINY + "domain: {kind: curved, R: 1.5}\n")
+        _, mesh = pipeline.build_mesh(curved)
+        assert mesh.n_nodes == pipeline.build_mesh(tiny_cfg)[1].n_nodes
+        with pytest.raises(ValueError, match="differs from the configured"):
+            pipeline.read_snapshot(snap, mesh)
+        state = pipeline.read_snapshot(snap, pipeline.build_mesh(tiny_cfg)[1])
+        assert state.step_index == 0
+
     def test_output_root_env(self, tiny_cfg, tmp_path, monkeypatch):
         monkeypatch.setenv(pipeline.OUTPUT_ROOT_ENV, str(tmp_path))
         out = pipeline.resolve_output_dir(tiny_cfg, "rel")
@@ -188,6 +200,20 @@ class TestCli:
         assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "checkpoint_000004.npz" in err and "boundary velocity" in err
+
+    def test_analyze_of_another_mesh_exits_1(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(TINY)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out),
+                     "--max-steps", "0"]) == 0
+        snap = str(out / "snapshot_000000.vtk")
+        rc = main(["analyze", "--config", str(cfgfile), "--out",
+                   str(tmp_path / "ana"), "--set", "domain.kind=curved",
+                   "--set", "domain.R=1.5", snap])
+        assert rc == 1
+        assert "differs from the configured mesh" in capsys.readouterr().err
+        assert not (tmp_path / "ana" / "diagnostics.csv").exists()
 
     def test_user_errors_exit_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 1

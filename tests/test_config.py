@@ -46,6 +46,8 @@ class TestValidation:
             parse_config("seed: 1\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config("solver: {stab_h: global}\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config("solver: {linear_max_iter: 100}\n")
 
     def test_curved_requires_radius(self):
         with pytest.raises(ConfigError, match="domain.R"):
@@ -100,8 +102,7 @@ def config_documents(draw):
                  "n_z": draw(st.integers(2, 64))},
         "solver": {"reynolds": draw(_positive), "tau": tau,
                    "t_end": draw(_positive), "delta_s0": draw(_positive),
-                   "linear_tol": draw(_positive),
-                   "linear_max_iter": draw(st.integers(0, 10 ** 6))},
+                   "linear_tol": draw(_positive)},
         "planes": {"count": draw(st.integers(1, 1000))},
         "regions": {"thresholds": sorted(draw(st.lists(
             _positive, min_size=3, max_size=3, unique=True)))},

@@ -466,7 +466,6 @@ class TestStructures:
             nodes=medium_mesh.nodes,
             tets=medium_mesh.tets[perm],
             boundary_faces=medium_mesh.boundary_faces,
-            boundary_markers=medium_mesh.boundary_markers,
             boundary_nodes=medium_mesh.boundary_nodes,
             h=medium_mesh.h,
         )

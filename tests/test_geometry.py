@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 import swirlfem as sf
-from swirlfem import fem
 from swirlfem import geometry as geo
-from swirlfem.pointlocate import get_locator
 
 
 def polygon_disk_area(n_r, r_max=1.0):
@@ -85,7 +83,16 @@ class TestStraightMesh:
     def test_boundary_nodes_match_faces(self, small_mesh):
         assert set(small_mesh.boundary_nodes) == set(
             np.unique(small_mesh.boundary_faces))
-        assert np.all(small_mesh.boundary_markers == geo.WALL)
+
+    def test_open_faces_are_the_boundary_faces(self, small_mesh):
+        # the face opposite local vertex i of a tet with neighbor -1
+        opp = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        e, i = np.nonzero(small_mesh.neighbors() < 0)
+        open_faces = np.sort(
+            small_mesh.tets[e[:, None], opp[i]], axis=1)
+        assert {tuple(f) for f in open_faces} \
+            == {tuple(f) for f in small_mesh.boundary_faces}
+        assert len(open_faces) == len(small_mesh.boundary_faces)
 
     def test_node_bounds(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=5, n_z=7)
@@ -113,26 +120,36 @@ class TestStraightMesh:
 
 
 class TestMeshCaches:
-    def test_basis_and_locator_cached_on_the_mesh(self, straight_spec):
+    def test_basis_gradients_cached_and_invert_the_edges(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=2, n_z=3)
-        assert fem.element_basis(mesh) is fem.element_basis(mesh)
-        assert get_locator(mesh) is get_locator(mesh)
-        assert get_locator(mesh).mesh is mesh
+        grads = mesh.basis_gradients()
+        assert mesh.basis_gradients() is grads
+        assert grads.shape == (mesh.n_tets, 4, 3)
+        assert np.abs(grads.sum(axis=1)).max() < 1e-12
+        p = mesh.nodes[mesh.tets]
+        edges = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0],
+                          p[:, 3] - p[:, 0]], axis=2)
+        eye = np.broadcast_to(np.eye(3), edges.shape)
+        assert np.allclose(grads[:, 1:] @ edges, eye, atol=1e-12)
+        # grad phi_i . (p_j - p_0) = delta_ij - delta_i0
+        assert np.allclose(np.einsum("ek,ekj->ej", grads[:, 0], edges), -1.0,
+                           atol=1e-12)
 
     def test_with_nodes_rebuilds_coordinate_caches(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=2, n_z=3)
-        basis, loc = fem.element_basis(mesh), get_locator(mesh)
+        grads, vol = mesh.basis_gradients(), mesh.tet_volumes()
         scaled = mesh.with_nodes(2.0 * mesh.nodes)
-        assert fem.element_basis(scaled) is not basis
-        assert get_locator(scaled) is not loc
-        assert get_locator(scaled).mesh is scaled
-        assert np.allclose(fem.element_basis(scaled).volumes,
-                           8.0 * basis.volumes)
+        assert scaled.basis_gradients() is not grads
+        assert np.allclose(scaled.basis_gradients(), 0.5 * grads)
+        assert scaled.tet_volumes() is not vol
+        assert np.allclose(scaled.tet_volumes(), 8.0 * vol)
+        assert scaled.neighbors() is mesh.neighbors()
 
     def test_dropped_mesh_is_garbage_collected(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=2, n_z=3)
-        fem.element_basis(mesh)
-        get_locator(mesh)
+        mesh.basis_gradients()
+        mesh.tet_volumes()
+        mesh.neighbors()
         ref = weakref.ref(mesh)
         del mesh
         gc.collect()
@@ -196,7 +213,6 @@ class TestTorusMap:
         assert geo.signed_tet_volumes(nodes, tets)[0] > 0
         mesh = geo.Mesh(nodes=nodes, tets=tets,
                         boundary_faces=np.zeros((0, 3), dtype=int),
-                        boundary_markers=np.zeros(0, dtype=np.int8),
                         boundary_nodes=np.array([], dtype=int),
                         h=1.0)
         with pytest.raises(ValueError, match="non-positive"):

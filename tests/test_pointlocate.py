@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swirlfem as sf
-from swirlfem.pointlocate import PointLocationError, TetLocator, \
+from swirlfem.pointlocate import BARY_TOL, PointLocationError, TetLocator, \
     locate_and_interpolate
 
 
@@ -11,16 +12,20 @@ def locator(medium_mesh):
     return TetLocator(medium_mesh)
 
 
+def barycentric_oracle(mesh, tet_ids, points):
+    """(Q, 4) barycentric coordinates by a direct solve per point."""
+    p = mesh.nodes[mesh.tets[tet_ids]]
+    t = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]],
+                 axis=2)
+    lam = np.linalg.solve(t, (points - p[:, 0])[..., None])[..., 0]
+    return np.concatenate([1.0 - lam.sum(axis=1)[:, None], lam], axis=1)
+
+
 def brute_force_containing_tets(mesh, p, tol=1e-10):
     """Oracle: barycentric test against every tet, no walking."""
-    nodes = mesh.nodes[mesh.tets]
-    t = np.stack([nodes[:, 1] - nodes[:, 0], nodes[:, 2] - nodes[:, 0],
-                  nodes[:, 3] - nodes[:, 0]], axis=2)
-    lam = np.linalg.solve(t, np.broadcast_to(p - nodes[:, 0],
-                                             (len(nodes), 3))[..., None])[..., 0]
-    lam0 = 1.0 - lam.sum(axis=1)
-    full = np.concatenate([lam0[:, None], lam], axis=1)
-    return np.nonzero(full.min(axis=1) >= -tol)[0]
+    ids = np.arange(mesh.n_tets)
+    lam = barycentric_oracle(mesh, ids, np.broadcast_to(p, (len(ids), 3)))
+    return np.nonzero(lam.min(axis=1) >= -tol)[0]
 
 
 class TestLocate:
@@ -122,3 +127,81 @@ class TestClamp:
         d_p = pts - origins
         cross = np.linalg.norm(np.cross(d_t, d_p), axis=1)
         assert cross.max() < 1e-9
+
+
+@pytest.fixture(scope="module", params=["medium_mesh", "curved_mesh"])
+def any_locator(request):
+    return TetLocator(request.getfixturevalue(request.param))
+
+
+_unit = st.floats(-0.15, 1.15)
+_frac = st.floats(0.0, 1.0, exclude_max=True)
+_weight = st.floats(0.01, 1.0)
+
+
+def interior_origins(mesh, feet):
+    """Seed tets and points strictly inside them from drawn (fraction of
+    n_tets, four barycentric weights, ...) tuples."""
+    seeds = np.array([int(f * mesh.n_tets) for f, *_ in feet])
+    w = np.array([wt for _, wt, _ in feet])
+    w /= w.sum(axis=1, keepdims=True)
+    return seeds, np.einsum("qv,qvd->qd", w, mesh.nodes[mesh.tets[seeds]])
+
+
+class TestLocateProperties:
+    """The walk against a brute-force barycentric oracle, on a straight
+    and a curved mesh.  The oracle tolerance is doubled where the walk must
+    be inside it and halved where it must be outside, so rounding on a face
+    cannot flip a verdict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit=st.lists(st.tuples(_unit, _unit, _unit), min_size=1,
+                         max_size=6),
+           seed_frac=st.none() | _frac)
+    def test_found_tet_contains_point(self, any_locator, unit, seed_frac):
+        mesh = any_locator.mesh
+        lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+        pts = lo + np.asarray(unit) * (hi - lo)
+        seeds = None if seed_frac is None else \
+            np.full(len(pts), int(seed_frac * mesh.n_tets))
+        ids, ok = any_locator.locate_many(pts, seeds=seeds)
+        assert np.array_equal(ok, ids >= 0)
+        for p, t in zip(pts, ids):
+            if t >= 0:
+                assert t in brute_force_containing_tets(mesh, p, 2 * BARY_TOL)
+            else:
+                assert len(brute_force_containing_tets(
+                    mesh, p, 0.5 * BARY_TOL)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(feet=st.lists(st.tuples(_frac, st.tuples(*[_weight] * 4),
+                                   st.tuples(*[st.floats(-1.5, 1.5)] * 3)),
+                         min_size=1, max_size=6))
+    def test_clamped_foot_in_tet_and_on_segment(self, any_locator, feet):
+        mesh = any_locator.mesh
+        seeds, origins = interior_origins(mesh, feet)
+        targets = origins + np.array([disp for _, _, disp in feet])
+        pts, ids = any_locator.clamp_inside(origins, targets, seeds)
+        assert (ids >= 0).all()
+        lam = barycentric_oracle(mesh, ids, pts)
+        assert lam.min() >= -2 * BARY_TOL
+        # on the segment: pts = origin + s d with 0 <= s <= 1
+        d = targets - origins
+        dd = np.einsum("qd,qd->q", d, d)
+        s = np.einsum("qd,qd->q", pts - origins, d) / np.where(dd > 0, dd, 1)
+        assert s.min() >= -1e-12 and s.max() <= 1.0 + 1e-12
+        assert np.abs(pts - (origins + s[:, None] * d)).max() < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(feet=st.lists(st.tuples(_frac, st.tuples(*[_weight] * 4),
+                                   st.tuples(*[_unit] * 3)),
+                         min_size=1, max_size=6))
+    def test_inside_target_unchanged(self, any_locator, feet):
+        mesh = any_locator.mesh
+        lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+        seeds, origins = interior_origins(mesh, feet)
+        targets = lo + np.array([u for _, _, u in feet]) * (hi - lo)
+        pts, _ = any_locator.clamp_inside(origins, targets, seeds)
+        for p, q in zip(pts, targets):
+            if len(brute_force_containing_tets(mesh, q, 0.5 * BARY_TOL)):
+                assert np.array_equal(p, q)

@@ -49,10 +49,10 @@ class TestUpstreamPoint:
         assert np.allclose(sf.upstream_point(small_mesh, state, x, cfg.tau), x)
 
     def test_large_displacement_stays_inside(self, small_mesh, cfg):
-        from swirlfem.pointlocate import get_locator
+        from swirlfem.pointlocate import TetLocator
         state = zero_state(small_mesh)
         state.velocity[:] = [80.0, 0.0, 0.0]  # tau * v far beyond the wall
-        loc = get_locator(small_mesh)
+        loc = TetLocator(small_mesh)
         for node in (0, 7, 23):
             p = sf.upstream_point(small_mesh, state, small_mesh.nodes[node],
                                   cfg.tau)
