@@ -30,7 +30,6 @@ from .solver import (
     StepOperator,
     run_simulation,
     time_step,
-    upstream_point,
 )
 
 __all__ = [
@@ -41,5 +40,5 @@ __all__ = [
     "initial_velocity_curved", "initial_velocity_straight", "psi",
     "sample_initial_state",
     "FieldState", "SolverConfig", "StepOperator", "run_simulation",
-    "time_step", "upstream_point",
+    "time_step",
 ]

@@ -231,11 +231,6 @@ def nearest_points_on_curve(curve: CentralCurve, points: np.ndarray):
     return c_pts[rows, pick], cand[rows, pick]
 
 
-def nearest_point_on_curve(curve: CentralCurve, x) -> np.ndarray:
-    pts, _ = nearest_points_on_curve(curve, np.asarray(x, float)[None])
-    return pts[0]
-
-
 @dataclass
 class PlaneMinimum:
     plane: int
@@ -255,13 +250,13 @@ def min_pressure_per_plane(state: FieldState, mesh: Mesh):
     minima, skipped = [], []
     p = state.pressure
     bins = mesh.plane_bin
-    for desc in mesh.planes:
-        ids = np.nonzero(bins == desc.index)[0]
+    for l, z in enumerate(mesh.plane_z):
+        ids = np.nonzero(bins == l)[0]
         if len(ids) == 0:
-            skipped.append(desc.index)
+            skipped.append(l)
             continue
         k = ids[np.argmin(p[ids])]
-        minima.append(PlaneMinimum(plane=desc.index, xi=desc.z, node=int(k),
+        minima.append(PlaneMinimum(plane=l, xi=float(z), node=int(k),
                                    point=mesh.nodes[k].copy(),
                                    pressure=float(p[k])))
     return minima, skipped
@@ -307,9 +302,6 @@ class RegionDecomposition:
     labels: np.ndarray           # (n_tets,) index into REGION_NAMES
     distance: np.ndarray         # (n_tets,) |r_e|
     offsets: np.ndarray          # (n_tets, 3) r_e = centroid - nearest C(xi)
-
-    def mask(self, name: str) -> np.ndarray:
-        return self.labels == REGION_NAMES.index(name)
 
 
 def curve_offsets(mesh: Mesh, curve: CentralCurve) -> np.ndarray:
@@ -382,24 +374,13 @@ def max_velocity(state: FieldState, mesh: Mesh, spec: DomainSpec):
 # Q-criterion and connected structures
 
 
-def q_criterion(state: FieldState, mesh: Mesh):
-    """Q = 1/2 (|W|^2 - |S|^2) from the element-constant velocity gradient.
-
-    Returns (element Q, nodal Q); the nodal field is the volume-weighted
-    average over incident elements and exists for visualization only.
-    """
+def q_criterion(state: FieldState, mesh: Mesh) -> np.ndarray:
+    """Per-element Q = 1/2 (|W|^2 - |S|^2) from the element-constant
+    velocity gradient."""
     g = fem.gradient_per_element(mesh, state.velocity)
     w = 0.5 * (g - np.transpose(g, (0, 2, 1)))
     s = 0.5 * (g + np.transpose(g, (0, 2, 1)))
-    q_elem = 0.5 * ((w * w).sum(axis=(1, 2)) - (s * s).sum(axis=(1, 2)))
-
-    vol = mesh.tet_volumes()
-    wgt = np.repeat(vol, 4)
-    num = np.bincount(mesh.tets.ravel(), weights=np.repeat(q_elem * vol, 4),
-                      minlength=mesh.n_nodes)
-    den = np.bincount(mesh.tets.ravel(), weights=wgt, minlength=mesh.n_nodes)
-    q_node = num / np.maximum(den, 1e-300)
-    return q_elem, q_node
+    return 0.5 * ((w * w).sum(axis=(1, 2)) - (s * s).sum(axis=(1, 2)))
 
 
 @dataclass
@@ -487,8 +468,6 @@ class DiagnosticsRecord:
     e_regions: dict
     l_total: np.ndarray
     l_regions: dict
-    delta_e: float
-    delta_l: float
     curve: CentralCurve
     planes_skipped: int
     structure_counts: dict
@@ -496,24 +475,20 @@ class DiagnosticsRecord:
 
 def compute_record(state: FieldState, mesh: Mesh, spec: DomainSpec,
                    q_thresholds=DEFAULT_Q_THRESHOLDS,
-                   region_thresholds=DEFAULT_REGION_THRESHOLDS,
-                   prev: DiagnosticsRecord | None = None) -> DiagnosticsRecord:
+                   region_thresholds=DEFAULT_REGION_THRESHOLDS
+                   ) -> DiagnosticsRecord:
     curve, skipped = fit_curve_from_state(state, mesh, spec)
     regions = region_decomposition(mesh, curve, region_thresholds)
     e_total, e_split = kinetic_energy(state, mesh, regions)
     l_total, l_split = angular_momentum(state, mesh, curve, regions)
     v_max, _, d_vmax = max_velocity(state, mesh, spec)
-    q_elem, _ = q_criterion(state, mesh)
+    q_elem = q_criterion(state, mesh)
     counts = {float(q): connected_vortex_structures(mesh, q_elem, q).count
               for q in q_thresholds}
-    delta_e = abs(e_total - prev.e_total) if prev is not None else 0.0
-    delta_l = float(np.linalg.norm(l_total - prev.l_total)) \
-        if prev is not None else 0.0
     return DiagnosticsRecord(
         t=state.time, v_max=v_max, d_v_max=d_vmax,
         e_total=e_total, e_regions=e_split,
         l_total=l_total, l_regions=l_split,
-        delta_e=delta_e, delta_l=delta_l,
         curve=curve, planes_skipped=skipped,
         structure_counts=counts,
     )

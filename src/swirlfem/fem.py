@@ -63,12 +63,6 @@ def assemble_divergence(mesh: Mesh):
     return tuple(blocks)
 
 
-def lumped_mass(mesh: Mesh) -> np.ndarray:
-    """Row-sum lumped mass vector (V_e / 4 to each vertex)."""
-    w = np.repeat(mesh.tet_volumes() / 4.0, 4)
-    return np.bincount(mesh.tets.ravel(), weights=w, minlength=mesh.n_nodes)
-
-
 def quadrature_points(mesh: Mesh) -> np.ndarray:
     """(n_tets, 4, 3) physical positions of the 4-point rule."""
     return np.einsum("qv,evd->eqd", TET4_BARY, mesh.nodes[mesh.tets])

@@ -10,7 +10,7 @@ All queries (axis point, distance, plane binning) are pure functions; a Mesh
 is safe for concurrent read-only use once built.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -72,24 +72,14 @@ def curved_domain(R: float, r_max: float = 1.0, a: float = 0.125) -> DomainSpec:
     return DomainSpec(DomainKind.CURVED, r_max=r_max, a=a, R=R)
 
 
-@dataclass(frozen=True)
-class PlaneDescriptor:
-    """One cross-section plane: index l, axial coordinate z_l, and its
-    embedding (a point on the plane and the unit normal)."""
-
-    index: int
-    z: float
-    point: tuple
-    normal: tuple
-
-
 @dataclass(eq=False)
 class Mesh:
     """Conforming tetrahedral mesh; every boundary face is wall.
 
-    tets are stored with positive signed volume.  plane_bin is filled by
-    cross_section_planes().  The per-element geometry (volumes, centroids,
-    basis gradients) and the adjacency are cached here, built on first use.
+    tets are stored with positive signed volume.  plane_z and plane_bin are
+    bound by cross_section_planes(), which returns a new mesh.  The
+    per-element geometry (volumes, centroids, basis gradients) and the
+    adjacency are cached here, built on first use.
     """
 
     nodes: np.ndarray            # (n_nodes, 3) float64
@@ -97,8 +87,8 @@ class Mesh:
     boundary_faces: np.ndarray   # (n_bfaces, 3) int
     boundary_nodes: np.ndarray   # sorted unique node ids
     h: float                     # mesh size: maximum edge length
+    plane_z: np.ndarray | None = None     # (n_planes + 1,) plane levels
     plane_bin: np.ndarray | None = None   # (n_nodes,) int
-    planes: list = field(default_factory=list)
 
     _volumes: np.ndarray | None = field(default=None, repr=False)
     _centroids: np.ndarray | None = field(default=None, repr=False)
@@ -404,34 +394,17 @@ def axial_coordinate(points: np.ndarray, spec: DomainSpec) -> np.ndarray:
     return float(z[0]) if np.asarray(points).ndim == 1 else z
 
 
-def cross_section_planes(
-    spec: DomainSpec, n_planes: int, mesh: Mesh | None = None
-) -> list:
-    """Planes l = 0..n_planes at z_l = -a + l * (5a / n_planes).
-
-    If a mesh is given, every node is binned to the nearest plane by its
-    axial coordinate (ties go to the lower index) and the result is stored
-    on mesh.plane_bin / mesh.planes.
+def cross_section_planes(spec: DomainSpec, n_planes: int, mesh: Mesh) -> Mesh:
+    """The mesh with planes l = 0..n_planes at z_l = -a + l * (5a / n_planes)
+    bound to it: plane_z holds the levels, and plane_bin every node's nearest
+    plane by its axial coordinate (ties go to the lower index).  The argument
+    is left as it was.
     """
     if n_planes < 1:
         raise ValueError(f"n_planes must be >= 1, got {n_planes}")
     dz = 5.0 * spec.a / n_planes
-    planes = []
-    for l in range(n_planes + 1):
-        zl = spec.z_min + l * dz
-        point = geometric_axis_point(spec, min(zl, spec.z_max))
-        if spec.kind is DomainKind.STRAIGHT:
-            normal = (0.0, 0.0, 1.0)
-        else:
-            th = zl / spec.R
-            normal = (np.sin(th), 0.0, np.cos(th))
-        planes.append(
-            PlaneDescriptor(index=l, z=zl, point=tuple(point), normal=normal)
-        )
-    if mesh is not None:
-        z = axial_coordinate(mesh.nodes, spec)
-        # nearest plane, ties to the lower index
-        l = np.ceil((z - spec.z_min) / dz - 0.5).astype(np.int64)
-        mesh.plane_bin = np.clip(l, 0, n_planes)
-        mesh.planes = planes
-    return planes
+    z = axial_coordinate(mesh.nodes, spec)
+    # nearest plane, ties to the lower index
+    l = np.ceil((z - spec.z_min) / dz - 0.5).astype(np.int64)
+    return replace(mesh, plane_z=spec.z_min + np.arange(n_planes + 1) * dz,
+                   plane_bin=np.clip(l, 0, n_planes))

@@ -1,8 +1,9 @@
 """Pipeline stages behind the CLI: mesh -> run -> analyze, plus verify.
 
-cmd_run is resumable: checkpoints carry the solver state and the diagnostics
-rows accumulated so far, so an interrupted run continues from the latest
-checkpoint and finishes with byte-identical outputs.  cmd_analyze recomputes
+cmd_run is resumable: checkpoints carry the solver state, the diagnostics
+rows accumulated so far and the run's config, so an interrupted run continues
+from the latest checkpoint and finishes with byte-identical outputs, and a
+checkpoint from another config is refused.  cmd_analyze recomputes
 diagnostics from saved snapshots; because snapshots round-trip every float
 exactly, its CSV matches the in-run one byte for byte (at equal cadences).
 """
@@ -14,14 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import vtkio
-from .config import RunConfig
+from .config import RunConfig, serialize_config
 from .diagnostics import compute_record
 from .geometry import DomainKind, DomainSpec, build_straight_mesh, \
     cross_section_planes, map_to_torus
 from .initcond import sample_initial_state
 from .solver import StepOperator, run_simulation
 from .verify import convergence_study
-from .vtkio import record_to_row, row_to_record
+from .vtkio import record_to_row
 
 OUTPUT_ROOT_ENV = "SWIRLFEM_OUTPUT_ROOT"
 
@@ -49,8 +50,7 @@ def build_mesh(cfg: RunConfig):
                             spec)
     else:
         mesh = build_straight_mesh(spec, cfg.n_r, cfg.n_z)
-    cross_section_planes(spec, cfg.n_planes, mesh=mesh)
-    return spec, mesh
+    return spec, cross_section_planes(spec, cfg.n_planes, mesh)
 
 
 def initial_state(cfg: RunConfig, mesh, spec):
@@ -81,7 +81,8 @@ def _latest_checkpoint(out: Path):
 
 def cmd_run(cfg: RunConfig, out_dir=None, max_steps=None):
     """Advance the configured simulation, emitting snapshots, checkpoints and
-    the diagnostics CSV; resumes from the latest checkpoint if one exists.
+    the diagnostics CSV; resumes from the latest checkpoint if one exists
+    and was written under the same config.
 
     max_steps limits the number of new steps this invocation takes (used to
     exercise interruption/resume; 0 writes only the t = 0 outputs of a fresh
@@ -97,48 +98,41 @@ def cmd_run(cfg: RunConfig, out_dir=None, max_steps=None):
     snap_steps = cfg.steps_per(cfg.snapshot_interval, "snapshot_interval")
     chk_steps = cfg.steps_per(cfg.checkpoint_interval, "checkpoint_interval")
 
+    config_text = serialize_config(cfg)
+
     resume = _latest_checkpoint(out)
     rows = []
     if resume is not None:
-        state, stored_rows = vtkio.read_checkpoint(resume[1], mesh.n_nodes)
+        state, stored_rows = vtkio.read_checkpoint(resume[1], mesh.n_nodes,
+                                                   config_text)
         try:
             state.validate(mesh)
         except ValueError as exc:
             raise ValueError(f"{resume[1]}: {exc}") from exc
-        if stored_rows is not None:
-            rows = [list(r) for r in stored_rows]
+        rows = [list(r) for r in stored_rows]
     else:
         state = initial_state(cfg, mesh, spec)
 
-    prev_rec = None
-    if rows:
-        prev_rec = row_to_record(rows[-1], cfg.q_thresholds,
-                                 (spec.z_min, spec.z_max))
-
     def sink(st):
-        nonlocal prev_rec
-        if st.step_index % diag_steps == 0:
+        # record, snapshot, then checkpoint, so a checkpoint holds the row
+        # of its own step
+        k = st.step_index
+        if k % diag_steps == 0:
             rec = compute_record(st, mesh, spec,
                                  q_thresholds=cfg.q_thresholds,
-                                 region_thresholds=cfg.region_thresholds,
-                                 prev=prev_rec)
-            rows.append(record_to_row(rec, cfg.q_thresholds))
-            prev_rec = rec
-        if st.step_index % snap_steps == 0:
-            vtkio.write_snapshot_vtk(
-                out / f"snapshot_{st.step_index:06d}.vtk", mesh, st)
-
-    def checkpoint(st):
-        vtkio.write_checkpoint(out / f"checkpoint_{st.step_index:06d}.npz",
-                               st, record_rows=rows)
+                                 region_thresholds=cfg.region_thresholds)
+            rows.append(record_to_row(rec, cfg.q_thresholds,
+                                      rows[-1] if rows else None))
+        if k % snap_steps == 0:
+            vtkio.write_snapshot_vtk(out / f"snapshot_{k:06d}.vtk", mesh, st)
+        if k > 0 and k % chk_steps == 0:
+            vtkio.write_checkpoint(out / f"checkpoint_{k:06d}.npz", st, rows,
+                                   config_text)
 
     op = StepOperator(mesh, solver_cfg)
     csv_path = out / "diagnostics.csv"
     try:
-        state = run_simulation(mesh, state, solver_cfg, sink=sink,
-                               checkpoint=checkpoint,
-                               checkpoint_every=chk_steps, operator=op,
-                               max_steps=max_steps)
+        state = run_simulation(op, state, sink=sink, max_steps=max_steps)
     finally:
         vtkio.write_csv_rows(csv_path, rows, cfg.q_thresholds)
     return state
@@ -176,14 +170,13 @@ def cmd_analyze(cfg: RunConfig, snapshot_paths, out_dir=None) -> Path:
     spec, mesh = build_mesh(cfg)
     states = [read_snapshot(p, mesh) for p in snapshot_paths]
     states.sort(key=lambda s: s.step_index)
-    rows, prev = [], None
+    rows = []
     for st in states:
         rec = compute_record(st, mesh, spec,
                              q_thresholds=cfg.q_thresholds,
-                             region_thresholds=cfg.region_thresholds,
-                             prev=prev)
-        rows.append(record_to_row(rec, cfg.q_thresholds))
-        prev = rec
+                             region_thresholds=cfg.region_thresholds)
+        rows.append(record_to_row(rec, cfg.q_thresholds,
+                                  rows[-1] if rows else None))
     path = out / "diagnostics.csv"
     vtkio.write_csv_rows(path, rows, cfg.q_thresholds)
     return path

@@ -103,28 +103,6 @@ class TetLocator:
                 return int(ids[ok[0]])  # lowest containing tet wins
         return -1
 
-    def locate(self, point, seed=None) -> int:
-        """Containing tet of a single point, -1 if outside.
-
-        Points on shared faces resolve to the lowest-index containing tet
-        among the face-adjacent candidates.
-        """
-        p = np.asarray(point, dtype=float)
-        seeds = None if seed is None else [seed]
-        ids, ok = self.locate_many(p[None], seeds=seeds)
-        if not ok[0]:
-            return -1
-        t = int(ids[0])
-        lam = self.barycentric(np.array([t]), p[None])[0]
-        best = t
-        for i in np.nonzero(np.abs(lam) <= BARY_TOL)[0]:
-            nbr = int(self._neighbors[t, i])
-            if 0 <= nbr < best:
-                lam_n = self.barycentric(np.array([nbr]), p[None])[0]
-                if lam_n.min() >= -BARY_TOL:
-                    best = nbr
-        return best
-
     def interpolate_at(self, tet_ids: np.ndarray, points: np.ndarray,
                        field: np.ndarray) -> np.ndarray:
         """P1 interpolation of nodal values at points with known tets."""
@@ -176,16 +154,4 @@ class TetLocator:
                 ids_bad[still] = ids_fix
             ids[bad] = ids_bad
         return pts, ids
-
-
-def locate_and_interpolate(mesh: Mesh, p, field: np.ndarray,
-                           locator: TetLocator | None = None):
-    """Locate p and return the P1 interpolation of the nodal field there."""
-    loc = locator if locator is not None else TetLocator(mesh)
-    t = loc.locate(p)
-    if t < 0:
-        raise PointLocationError(f"point {np.asarray(p)} is outside the mesh")
-    val = loc.interpolate_at(np.array([t]), np.atleast_2d(np.asarray(p, float)),
-                             np.asarray(field))
-    return val[0]
 

@@ -24,6 +24,11 @@ from .geometry import Mesh
 from .pointlocate import TetLocator
 
 
+# Largest |mean pressure| a stepped state may carry (the pressure is gauged
+# to zero mean after every solve).
+GAUGE_TOL = 1e-10
+
+
 class ConvergenceError(RuntimeError):
     """Linear solve failed to reach the requested residual."""
 
@@ -37,7 +42,7 @@ class FieldState:
     velocity: np.ndarray   # (n_nodes, 3)
     pressure: np.ndarray   # (n_nodes,)
 
-    def validate(self, mesh: Mesh, gauge_tol: float = 1e-10):
+    def validate(self, mesh: Mesh):
         if self.velocity.shape != (mesh.n_nodes, 3):
             raise ValueError("velocity array does not match mesh node count")
         if self.pressure.shape != (mesh.n_nodes,):
@@ -47,7 +52,7 @@ class FieldState:
             if vb != 0.0:
                 raise ValueError(f"boundary velocity not zero (max {vb:.3e})")
             pm = abs(float(self.pressure.mean()))
-            if pm > gauge_tol:
+            if pm > GAUGE_TOL:
                 raise ValueError(f"pressure mean {pm:.3e} exceeds gauge tol")
 
 
@@ -77,21 +82,6 @@ class SolverConfig:
         # floor(t_end / tau) with a relative guard so an exactly representable
         # ratio like 3 / 1.25e-2 lands on 240, not 239
         return int(math.floor(self.t_end / self.tau * (1.0 + 1e-12) + 1e-12))
-
-
-def upstream_point(mesh: Mesh, state: FieldState, x, tau: float,
-                   locator: TetLocator | None = None) -> np.ndarray:
-    """Foot of the characteristic through x: x - v(x) tau, clamped to stay
-    inside the mesh (pulled back along the segment and nudged inward)."""
-    loc = locator if locator is not None else TetLocator(mesh)
-    p = np.asarray(x, dtype=float)
-    tet = loc.locate(p)
-    if tet < 0:
-        raise ValueError(f"upstream_point: x={p} is not inside the mesh")
-    v = loc.interpolate_at(np.array([tet]), p[None], state.velocity)[0]
-    target = p - tau * v
-    pts, _ = loc.clamp_inside(p[None], target[None], seeds=[tet])
-    return pts[0]
 
 
 class StepOperator:
@@ -263,43 +253,36 @@ class StepOperator:
         return x
 
 
-def time_step(mesh: Mesh, prev: FieldState, cfg: SolverConfig,
-              operator: StepOperator | None = None) -> FieldState:
+def time_step(op: StepOperator, prev: FieldState) -> FieldState:
     """Advance one step k-1 -> k."""
-    op = operator if operator is not None else StepOperator(mesh, cfg)
     velocity, pressure = op.solve(op.assemble_rhs(prev))
     k = prev.step_index + 1
-    return FieldState(step_index=k, time=k * cfg.tau,
+    return FieldState(step_index=k, time=k * op.cfg.tau,
                       velocity=velocity, pressure=pressure)
 
 
-def run_simulation(mesh: Mesh, initial: FieldState, cfg: SolverConfig,
-                   sink=None, sink_every: int = 1,
-                   checkpoint=None, checkpoint_every: int = 0,
-                   operator: StepOperator | None = None,
+def run_simulation(op: StepOperator, initial: FieldState, sink=None,
                    max_steps: int | None = None) -> FieldState:
     """Advance from the given state to n_steps = floor(t_end / tau).
 
-    sink(state) is invoked every sink_every steps (including step 0 when
-    starting from scratch); checkpoint(state) likewise when enabled.  The
-    initial state may be a checkpoint with step_index > 0, in which case
-    stepping resumes from there.  max_steps, when given, caps the number of
-    new steps taken by this call (0 takes none, but still emits step 0).
+    sink(state) is invoked after every step, and on step 0 when starting
+    from scratch.  The initial state may be a checkpoint with
+    step_index > 0, in which case stepping resumes from there.  max_steps,
+    when given, caps the number of new steps taken by this call (0 takes
+    none, but still emits step 0).
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    op = operator if operator is not None else StepOperator(mesh, cfg)
     state = initial
-    last = cfg.n_steps
+    last = op.cfg.n_steps
     if max_steps is not None:
         last = min(last, state.step_index + max_steps)
     if sink is not None and state.step_index == 0:
         sink(state)
-    for k in range(state.step_index + 1, last + 1):
-        state = time_step(mesh, state, cfg, operator=op)
-        if sink is not None and k % sink_every == 0:
+    for _ in range(state.step_index + 1, last + 1):
+        # looked up as a module global on every step, so a wrapper installed
+        # on solver.time_step sees each one
+        state = time_step(op, state)
+        if sink is not None:
             sink(state)
-        if checkpoint is not None and checkpoint_every > 0 \
-                and k % checkpoint_every == 0:
-            checkpoint(state)
     return state

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import REGION_NAMES, CentralCurve, DiagnosticsRecord
+from .diagnostics import REGION_NAMES, DiagnosticsRecord
 from .geometry import Mesh
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 _F = "%.17g"  # exact decimal round-trip for float64
 
@@ -175,9 +175,10 @@ def write_snapshot_vtk(path, mesh: Mesh, state):
 # checkpoints (exact precision, versioned)
 
 
-def write_checkpoint(path, state, record_rows=None):
-    """Binary checkpoint: state arrays plus the diagnostics rows accumulated
-    so far, so a resumed run rebuilds the identical CSV."""
+def write_checkpoint(path, state, record_rows, config_text: str):
+    """Binary checkpoint: state arrays, the diagnostics rows accumulated so
+    far (so a resumed run rebuilds the identical CSV) and the serialized
+    config the run was started with."""
     tmp = str(path) + ".tmp"
     payload = {
         "format": np.int64(CHECKPOINT_FORMAT),
@@ -185,15 +186,17 @@ def write_checkpoint(path, state, record_rows=None):
         "time": np.float64(state.time),
         "velocity": state.velocity,
         "pressure": state.pressure,
+        "record_rows": np.asarray(record_rows, dtype=float),
+        "config": np.str_(config_text),
     }
-    if record_rows is not None:
-        payload["record_rows"] = np.asarray(record_rows, dtype=float)
     with open(tmp, "wb") as fh:
         np.savez(fh, **payload)
     os.replace(tmp, path)
 
 
-def read_checkpoint(path, n_nodes: int):
+def read_checkpoint(path, n_nodes: int, config_text: str | None = None):
+    """(state, diagnostics rows) of a checkpoint; with config_text, refuse
+    one written under another config."""
     from .solver import FieldState
 
     with np.load(path) as data:
@@ -202,6 +205,12 @@ def read_checkpoint(path, n_nodes: int):
             raise ValueError(
                 f"{path}: checkpoint format {version} not supported "
                 f"(expected {CHECKPOINT_FORMAT})"
+            )
+        if config_text is not None and str(data["config"]) != config_text:
+            raise ValueError(
+                f"{path}: checkpoint was written under another config; "
+                f"resume with the config it was started with, or use a "
+                f"fresh output directory"
             )
         velocity = data["velocity"]
         if velocity.shape[0] != n_nodes:
@@ -215,7 +224,7 @@ def read_checkpoint(path, n_nodes: int):
             velocity=velocity,
             pressure=data["pressure"],
         )
-        rows = data["record_rows"] if "record_rows" in data else None
+        rows = data["record_rows"]
     return state, rows
 
 
@@ -236,37 +245,26 @@ def csv_columns(q_thresholds) -> list:
     return cols
 
 
-def record_to_row(rec: DiagnosticsRecord, q_thresholds=None) -> list:
-    thr = list(q_thresholds) if q_thresholds is not None \
-        else sorted(rec.structure_counts)
+def record_to_row(rec: DiagnosticsRecord, q_thresholds,
+                  prev_row=None) -> list:
+    """One CSV row (see csv_columns).  delta_E and delta_L are the changes
+    of E_total and of the vector L from prev_row, the row before this one;
+    both are 0 on the first row."""
+    changes = [0.0, 0.0]
+    if prev_row is not None:
+        l_prev = np.array(prev_row[8:11])
+        changes = [abs(rec.e_total - prev_row[3]),
+                   float(np.linalg.norm(rec.l_total - l_prev))]
     row = [rec.t, rec.v_max, rec.d_v_max,
            rec.e_total] + [rec.e_regions[n] for n in REGION_NAMES]
     row += [rec.l_total[0], rec.l_total[1], rec.l_total[2],
             float(np.linalg.norm(rec.l_total))]
     row += [float(np.linalg.norm(rec.l_regions[n])) for n in REGION_NAMES]
-    row += [rec.delta_e, rec.delta_l]
+    row += changes
     row += list(rec.curve.coeffs.ravel())
     row += [rec.curve.residual, float(rec.planes_skipped)]
-    row += [float(rec.structure_counts[float(q)]) for q in thr]
+    row += [float(rec.structure_counts[float(q)]) for q in q_thresholds]
     return row
-
-
-def row_to_record(row, q_thresholds, xi_range) -> DiagnosticsRecord:
-    row = list(map(float, row))
-    e_regions = dict(zip(REGION_NAMES, row[4:8]))
-    l_regions = {n: np.array([v, 0.0, 0.0])  # magnitudes only survive the CSV
-                 for n, v in zip(REGION_NAMES, row[12:16])}
-    curve = CentralCurve(coeffs=np.array(row[18:30]).reshape(3, 4),
-                         xi_range=xi_range, residual=row[30])
-    counts = {float(q): int(c) for q, c in zip(q_thresholds, row[32:])}
-    return DiagnosticsRecord(
-        t=row[0], v_max=row[1], d_v_max=row[2],
-        e_total=row[3], e_regions=e_regions,
-        l_total=np.array(row[8:11]), l_regions=l_regions,
-        delta_e=row[16], delta_l=row[17],
-        curve=curve, planes_skipped=int(row[31]),
-        structure_counts=counts,
-    )
 
 
 def format_csv_rows(rows, q_thresholds) -> str:

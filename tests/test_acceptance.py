@@ -78,14 +78,12 @@ def _run_desk(name, domain_extra, track_primary=False):
     def sink(st):
         if st.step_index % SAMPLE_EVERY:
             return
-        prev = data.records[-1] if data.records else None
         rec = dg.compute_record(st, mesh, spec,
                                 q_thresholds=cfg.q_thresholds,
-                                region_thresholds=cfg.region_thresholds,
-                                prev=prev)
+                                region_thresholds=cfg.region_thresholds)
         data.records.append(rec)
         if track_primary:
-            q_elem, _ = dg.q_criterion(st, mesh)
+            q_elem = dg.q_criterion(st, mesh)
             comps = dg.connected_vortex_structures(mesh, q_elem, 50.0)
             members = [set(int(e) for e in c.elements)
                        for c in comps.components]
@@ -104,8 +102,7 @@ def _run_desk(name, domain_extra, track_primary=False):
                 tracked["elems"] = max(
                     hits, key=lambda m: len(m & tracked["elems"]))
 
-    sf.run_simulation(mesh, state, solver_cfg, sink=sink, sink_every=1,
-                      operator=op)
+    sf.run_simulation(op, state, sink=sink)
     return data
 
 
@@ -185,13 +182,13 @@ def test_acceptance_2_analytic_diagnostics(straight_spec):
     state.velocity[:, 0] = -y
     state.velocity[:, 1] = x
 
-    q_elem, _ = dg.q_criterion(state, mesh32)
+    q_elem = dg.q_criterion(state, mesh32)
     assert np.abs(q_elem - 1.0).max() < 1e-10
 
     shear = sf.FieldState(0, 0.0, np.zeros((mesh32.n_nodes, 3)),
                           np.zeros(mesh32.n_nodes))
     shear.velocity[:, 0] = y
-    q_shear, _ = dg.q_criterion(shear, mesh32)
+    q_shear = dg.q_criterion(shear, mesh32)
     assert np.abs(q_shear).max() < 1e-10
 
     H = 0.625
@@ -249,20 +246,20 @@ def test_acceptance_3_curve_fitting():
 
 def test_acceptance_4_conservation_partition(straight_spec):
     mesh = sf.build_straight_mesh(straight_spec, n_r=6, n_z=5)
-    sf.cross_section_planes(straight_spec, 20, mesh=mesh)
+    mesh = sf.cross_section_planes(straight_spec, 20, mesh)
     cfg = sf.SolverConfig(nu=1e-3, tau=1.25e-2, t_end=3.0)
     op = StepOperator(mesh, cfg)
 
     zero = sf.FieldState(0, 0.0, np.zeros((mesh.n_nodes, 3)),
                          np.zeros(mesh.n_nodes))
-    z1 = sf.time_step(mesh, zero, cfg, operator=op)
+    z1 = sf.time_step(op, zero)
     assert np.abs(z1.velocity).max() == 0.0
     assert np.abs(z1.pressure).max() == 0.0
 
     state = sf.sample_initial_state(mesh, sf.ProfileKind.STRAIGHT_FRAME,
                                     straight_spec)
     for _ in range(5):
-        state = sf.time_step(mesh, state, cfg, operator=op)
+        state = sf.time_step(op, state)
         assert np.abs(state.velocity[mesh.boundary_nodes]).max() == 0.0
         assert abs(state.pressure.mean()) <= 1e-10
 

@@ -201,6 +201,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "checkpoint_000004.npz" in err and "boundary velocity" in err
 
+    def test_resume_under_another_config_exits_1(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(TINY.replace("n_r: 3", "n_r: 4"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out),
+                     "--max-steps", "5"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "checkpoint_000004.npz" in before
+        rc = main(["run", "--config", str(cfgfile), "--out", str(out),
+                   "--set", "domain.kind=curved", "--set", "domain.R=1.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "checkpoint_000004.npz" in err and "another config" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the config it was started with still resumes
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
+
     def test_analyze_of_another_mesh_exits_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.yaml"
         cfgfile.write_text(TINY)

@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 import swirlfem as sf
 from swirlfem import diagnostics as dg
+from swirlfem import vtkio
 
 from conftest import zero_state
 
@@ -23,33 +24,32 @@ def axis_curve(spec):
 
 class TestQCriterion:
     def test_rigid_rotation(self, medium_mesh):
-        q_elem, q_node = dg.q_criterion(rotation_state(medium_mesh), medium_mesh)
+        q_elem = dg.q_criterion(rotation_state(medium_mesh), medium_mesh)
         assert np.abs(q_elem - 1.0).max() < 1e-10
-        assert np.abs(q_node - 1.0).max() < 1e-10
 
     def test_rigid_rotation_scales_with_omega_squared(self, small_mesh):
-        q_elem, _ = dg.q_criterion(rotation_state(small_mesh, omega=2.5),
+        q_elem = dg.q_criterion(rotation_state(small_mesh, omega=2.5),
                                    small_mesh)
         assert np.abs(q_elem - 6.25).max() < 1e-9
 
     def test_pure_shear(self, medium_mesh):
         state = zero_state(medium_mesh)
         state.velocity[:, 0] = medium_mesh.nodes[:, 1]
-        q_elem, _ = dg.q_criterion(state, medium_mesh)
+        q_elem = dg.q_criterion(state, medium_mesh)
         assert np.abs(q_elem).max() < 1e-10
 
     def test_uniform_translation(self, medium_mesh):
         state = zero_state(medium_mesh)
         state.velocity[:] = [0.4, -0.2, 1.0]
-        q_elem, _ = dg.q_criterion(state, medium_mesh)
+        q_elem = dg.q_criterion(state, medium_mesh)
         assert np.abs(q_elem).max() < 1e-12
 
     def test_galilean_invariance(self, medium_mesh):
         state = sf.sample_initial_state(
             medium_mesh, sf.ProfileKind.STRAIGHT_FRAME, sf.straight_domain())
-        q1, _ = dg.q_criterion(state, medium_mesh)
+        q1 = dg.q_criterion(state, medium_mesh)
         state.velocity += np.array([3.0, -1.0, 0.5])
-        q2, _ = dg.q_criterion(state, medium_mesh)
+        q2 = dg.q_criterion(state, medium_mesh)
         assert np.abs(q1 - q2).max() < 1e-12
 
     def test_linear_superposition_against_hand_gradient(self, small_mesh):
@@ -61,7 +61,7 @@ class TestQCriterion:
         w = 0.5 * (a - a.T)
         s = 0.5 * (a + a.T)
         expected = 0.5 * ((w * w).sum() - (s * s).sum())
-        q_elem, _ = dg.q_criterion(state, small_mesh)
+        q_elem = dg.q_criterion(state, small_mesh)
         assert np.abs(q_elem - expected).max() < 1e-10
 
 
@@ -219,17 +219,18 @@ class TestNearestPoint:
                              [0.0, 1.0, 0.0, 0.0]]),
             xi_range=(-0.5, 0.5))
         x = curve.evaluate(0.17)
-        assert np.linalg.norm(dg.nearest_point_on_curve(curve, x) - x) < 1e-8
+        p, _ = dg.nearest_points_on_curve(curve, x[None])
+        assert np.linalg.norm(p[0] - x) < 1e-8
 
     def test_orthogonal_projection_on_axis(self, straight_spec):
         curve = axis_curve(straight_spec)
-        p = dg.nearest_point_on_curve(curve, np.array([0.3, 0.4, 0.2]))
-        assert np.allclose(p, [0.0, 0.0, 0.2], atol=1e-8)
+        p, _ = dg.nearest_points_on_curve(curve, [[0.3, 0.4, 0.2]])
+        assert np.allclose(p[0], [0.0, 0.0, 0.2], atol=1e-8)
 
     def test_endpoint_clamping(self, straight_spec):
         curve = axis_curve(straight_spec)
-        p = dg.nearest_point_on_curve(curve, np.array([0.0, 0.1, 0.9]))
-        assert np.allclose(p, [0.0, 0.0, 0.5], atol=1e-10)
+        p, _ = dg.nearest_points_on_curve(curve, [[0.0, 0.1, 0.9]])
+        assert np.allclose(p[0], [0.0, 0.0, 0.5], atol=1e-10)
 
     def test_never_worse_than_dense_samples(self):
         rng = np.random.default_rng(9)
@@ -315,7 +316,7 @@ class TestNearestPointProperties:
 class TestPlaneMinima:
     def test_pressure_z_picks_layer_centers(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=3, n_z=5)
-        sf.cross_section_planes(straight_spec, 5, mesh=mesh)
+        mesh = sf.cross_section_planes(straight_spec, 5, mesh)
         state = zero_state(mesh)
         state.pressure[:] = mesh.nodes[:, 2]
         minima, skipped = dg.min_pressure_per_plane(state, mesh)
@@ -328,7 +329,7 @@ class TestPlaneMinima:
 
     def test_radial_pressure_minimum_on_axis(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=4, n_z=5)
-        sf.cross_section_planes(straight_spec, 5, mesh=mesh)
+        mesh = sf.cross_section_planes(straight_spec, 5, mesh)
         state = zero_state(mesh)
         state.pressure[:] = (mesh.nodes ** 2).sum(axis=1)
         minima, _ = dg.min_pressure_per_plane(state, mesh)
@@ -337,7 +338,7 @@ class TestPlaneMinima:
 
     def test_global_minimum_is_returned_for_its_plane(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=3, n_z=5)
-        sf.cross_section_planes(straight_spec, 5, mesh=mesh)
+        mesh = sf.cross_section_planes(straight_spec, 5, mesh)
         state = zero_state(mesh)
         state.pressure[:] = 1.0
         k = mesh.n_nodes // 2
@@ -349,7 +350,7 @@ class TestPlaneMinima:
 
     def test_empty_bins_are_skipped(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=2, n_z=2)
-        sf.cross_section_planes(straight_spec, 100, mesh=mesh)
+        mesh = sf.cross_section_planes(straight_spec, 100, mesh)
         state = zero_state(mesh)
         minima, skipped = dg.min_pressure_per_plane(state, mesh)
         assert len(minima) + len(skipped) == 101
@@ -497,25 +498,27 @@ class TestDeltaSeries:
 class TestComputeRecord:
     def test_full_record(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=4, n_z=5)
-        sf.cross_section_planes(straight_spec, 20, mesh=mesh)
+        mesh = sf.cross_section_planes(straight_spec, 20, mesh)
         state = sf.sample_initial_state(
             mesh, sf.ProfileKind.STRAIGHT_FRAME, straight_spec)
         rec = dg.compute_record(state, mesh, straight_spec)
         assert rec.t == 0.0
         assert rec.e_total > 0
         assert abs(sum(rec.e_regions.values()) - rec.e_total) < 1e-12
-        assert rec.delta_e == 0.0 and rec.delta_l == 0.0
         assert set(rec.structure_counts) == {50.0, 250.0, 750.0}
 
-        rec2 = dg.compute_record(state, mesh, straight_spec, prev=rec)
-        assert rec2.delta_e == 0.0
-        assert rec2.delta_l == 0.0
+        # delta_E, delta_L (CSV columns 16, 17) of a repeated state are 0
+        q = (50.0, 250.0, 750.0)
+        row = vtkio.record_to_row(rec, q)
+        assert row[16:18] == [0.0, 0.0]
+        rec2 = dg.compute_record(state, mesh, straight_spec)
+        assert vtkio.record_to_row(rec2, q, prev_row=row)[16:18] == [0.0, 0.0]
 
     @pytest.fixture(scope="class")
     def binned_mesh(self, straight_spec, curved_spec):
         mesh = sf.map_to_torus(
             sf.build_straight_mesh(straight_spec, n_r=4, n_z=5), curved_spec)
-        sf.cross_section_planes(curved_spec, 20, mesh=mesh)
+        mesh = sf.cross_section_planes(curved_spec, 20, mesh)
         return mesh
 
     def test_record_projects_centroids_once(self, binned_mesh, curved_spec,

@@ -264,15 +264,23 @@ class TestAxisQueries:
 
 class TestPlanes:
     def test_plane_positions(self, straight_spec, small_mesh):
-        planes = sf.cross_section_planes(straight_spec, 100, mesh=small_mesh)
-        assert len(planes) == 101
-        assert abs(planes[0].z + 0.125) < 1e-15
-        assert abs(planes[100].z - 0.5) < 1e-12
-        assert abs((planes[1].z - planes[0].z) - 0.00625) < 1e-15
+        z = sf.cross_section_planes(straight_spec, 100, small_mesh).plane_z
+        assert len(z) == 101
+        assert abs(z[0] + 0.125) < 1e-15
+        assert abs(z[100] - 0.5) < 1e-12
+        assert abs((z[1] - z[0]) - 0.00625) < 1e-15
+
+    def test_input_mesh_left_unbound(self, straight_spec, small_mesh):
+        bound = sf.cross_section_planes(straight_spec, 10, small_mesh)
+        assert bound is not small_mesh
+        assert small_mesh.plane_z is None and small_mesh.plane_bin is None
+        assert bound.nodes is small_mesh.nodes
+        assert bound.tets is small_mesh.tets
+        assert bound.plane_bin.shape == (small_mesh.n_nodes,)
 
     def test_node_at_top_gets_last_bin(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=3, n_z=5)
-        sf.cross_section_planes(straight_spec, 100, mesh=mesh)
+        mesh = sf.cross_section_planes(straight_spec, 100, mesh)
         top = np.nonzero(np.abs(mesh.nodes[:, 2] - 0.5) < 1e-12)[0]
         assert np.all(mesh.plane_bin[top] == 100)
 
@@ -280,30 +288,31 @@ class TestPlanes:
         # n_z=4 puts a node layer exactly midway between planes 0 and 1 of a
         # 2-plane split (all coordinates exact binary fractions)
         mesh = sf.build_straight_mesh(straight_spec, n_r=2, n_z=4)
-        sf.cross_section_planes(straight_spec, 2, mesh=mesh)
+        mesh = sf.cross_section_planes(straight_spec, 2, mesh)
         mid = np.nonzero(np.abs(mesh.nodes[:, 2] - 0.03125) < 1e-15)[0]
         assert len(mid) > 0
         assert np.all(mesh.plane_bin[mid] == 0)
 
     def test_bins_partition_nodes(self, curved_spec, curved_mesh):
-        planes = sf.cross_section_planes(curved_spec, 40, mesh=curved_mesh)
-        assert curved_mesh.plane_bin.shape == (curved_mesh.n_nodes,)
-        assert curved_mesh.plane_bin.min() >= 0
-        assert curved_mesh.plane_bin.max() <= 40
-        assert len(planes) == 41
+        mesh = sf.cross_section_planes(curved_spec, 40, curved_mesh)
+        assert mesh.plane_bin.shape == (curved_mesh.n_nodes,)
+        assert mesh.plane_bin.min() >= 0
+        assert mesh.plane_bin.max() <= 40
+        assert len(mesh.plane_z) == 41
 
     def test_curved_binning_inverts_map(self, curved_spec, curved_mesh,
                                         medium_mesh):
-        sf.cross_section_planes(curved_spec, 30, mesh=curved_mesh)
-        straight = medium_mesh
-        sf.cross_section_planes(sf.straight_domain(), 30, mesh=straight)
-        assert np.array_equal(curved_mesh.plane_bin, straight.plane_bin)
+        curved = sf.cross_section_planes(curved_spec, 30, curved_mesh)
+        straight = sf.cross_section_planes(sf.straight_domain(), 30,
+                                           medium_mesh)
+        assert np.array_equal(curved.plane_bin, straight.plane_bin)
+        assert np.array_equal(curved.plane_z, straight.plane_z)
 
     def test_axial_coordinate_roundtrip(self, curved_spec, curved_mesh,
                                         medium_mesh):
         z = geo.axial_coordinate(curved_mesh.nodes, curved_spec)
         assert np.abs(z - medium_mesh.nodes[:, 2]).max() < 1e-12
 
-    def test_rejects_bad_count(self, straight_spec):
+    def test_rejects_bad_count(self, straight_spec, small_mesh):
         with pytest.raises(ValueError):
-            sf.cross_section_planes(straight_spec, 0)
+            sf.cross_section_planes(straight_spec, 0, small_mesh)

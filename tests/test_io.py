@@ -62,8 +62,9 @@ class TestCheckpoint:
         state.time = 17 * 0.0125
         rows = [[1.0, 2.0], [3.0, 4.0]]
         path = tmp_path / "chk.npz"
-        vtkio.write_checkpoint(path, state, record_rows=rows)
-        back, stored = vtkio.read_checkpoint(path, small_mesh.n_nodes)
+        vtkio.write_checkpoint(path, state, rows, "mesh: {n_r: 4}\n")
+        back, stored = vtkio.read_checkpoint(path, small_mesh.n_nodes,
+                                             "mesh: {n_r: 4}\n")
         assert back.step_index == 17
         assert back.time == state.time
         assert np.array_equal(back.velocity, state.velocity)
@@ -73,9 +74,28 @@ class TestCheckpoint:
     def test_node_count_mismatch(self, small_mesh, tmp_path):
         state = zero_state(small_mesh)
         path = tmp_path / "chk.npz"
-        vtkio.write_checkpoint(path, state)
+        vtkio.write_checkpoint(path, state, [], "")
         with pytest.raises(ValueError, match="nodes"):
             vtkio.read_checkpoint(path, small_mesh.n_nodes + 1)
+
+    def test_other_config_refused(self, small_mesh, tmp_path):
+        path = tmp_path / "chk.npz"
+        vtkio.write_checkpoint(path, zero_state(small_mesh), [[0.0]],
+                               "domain: {kind: straight}\n")
+        with pytest.raises(ValueError, match="chk.npz.*another config"):
+            vtkio.read_checkpoint(path, small_mesh.n_nodes,
+                                  "domain: {kind: curved}\n")
+        # without a config to compare, the stored one is not checked
+        vtkio.read_checkpoint(path, small_mesh.n_nodes)
+
+    def test_format_1_refused(self, small_mesh, tmp_path):
+        state = zero_state(small_mesh)
+        path = tmp_path / "chk.npz"
+        np.savez(path, format=np.int64(1), step_index=np.int64(0),
+                 time=np.float64(0.0), velocity=state.velocity,
+                 pressure=state.pressure)
+        with pytest.raises(ValueError, match="chk.npz.*format 1"):
+            vtkio.read_checkpoint(path, small_mesh.n_nodes)
 
 
 class TestDiagnosticsCsv:
@@ -93,8 +113,8 @@ class TestDiagnosticsCsv:
         assert "E_total" in cols and "L_mag" in cols and "c_z3" in cols
 
     def test_csv_roundtrip_values(self, straight_spec, tmp_path):
-        mesh = sf.build_straight_mesh(straight_spec, n_r=4, n_z=5)
-        sf.cross_section_planes(straight_spec, 10, mesh=mesh)
+        mesh = sf.cross_section_planes(
+            straight_spec, 10, sf.build_straight_mesh(straight_spec, 4, 5))
         rec = self.one_record(mesh, straight_spec)
         path = tmp_path / "diag.csv"
         q = (50.0, 250.0, 750.0)
@@ -105,15 +125,29 @@ class TestDiagnosticsCsv:
         assert data["L_z"][0] == rec.l_total[2]
         assert data["planes_skipped"][0] == rec.planes_skipped
 
-    def test_row_record_roundtrip(self, straight_spec):
-        mesh = sf.build_straight_mesh(straight_spec, n_r=4, n_z=5)
-        sf.cross_section_planes(straight_spec, 10, mesh=mesh)
+    def test_row_holds_record_and_deltas_from_previous_row(
+            self, straight_spec):
+        mesh = sf.cross_section_planes(
+            straight_spec, 10, sf.build_straight_mesh(straight_spec, 4, 5))
+        q = (50.0, 250.0, 750.0)
         rec = self.one_record(mesh, straight_spec)
-        row = vtkio.record_to_row(rec, (50.0, 250.0, 750.0))
-        back = vtkio.row_to_record(row, (50.0, 250.0, 750.0),
-                                   (straight_spec.z_min, straight_spec.z_max))
-        assert back.t == rec.t
-        assert back.e_total == rec.e_total
-        assert np.array_equal(back.l_total, rec.l_total)
-        assert np.array_equal(back.curve.coeffs, rec.curve.coeffs)
-        assert back.structure_counts == rec.structure_counts
+        state = sf.sample_initial_state(
+            mesh, sf.ProfileKind.STRAIGHT_FRAME, straight_spec)
+        state.velocity *= 0.5
+        state.time = 0.25
+        rec2 = dg.compute_record(state, mesh, straight_spec)
+
+        row = vtkio.record_to_row(rec, q)
+        assert row[0] == rec.t
+        assert row[3] == rec.e_total
+        assert np.array_equal(row[8:11], rec.l_total)
+        assert np.array_equal(row[18:30], rec.curve.coeffs.ravel())
+        assert row[32:] == [float(rec.structure_counts[c]) for c in q]
+        assert row[16:18] == [0.0, 0.0]     # first row: no previous one
+
+        row2 = vtkio.record_to_row(rec2, q, prev_row=row)
+        assert row2[16] == abs(rec2.e_total - rec.e_total) > 0.0
+        assert row2[17] == np.linalg.norm(rec2.l_total - rec.l_total) > 0.0
+        # the same deltas from a row read back as floats (a resumed run)
+        back = [float(v) for v in np.asarray(row)]
+        assert vtkio.record_to_row(rec2, q, prev_row=back) == row2

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import swirlfem as sf
-from swirlfem.pointlocate import BARY_TOL, PointLocationError, TetLocator, \
-    locate_and_interpolate
+from swirlfem.pointlocate import BARY_TOL, PointLocationError, TetLocator
 
 
 @pytest.fixture(scope="module")
@@ -30,46 +29,56 @@ def brute_force_containing_tets(mesh, p, tol=1e-10):
 
 class TestLocate:
     def test_nodes_resolve_to_containing_tets(self, medium_mesh, locator):
-        for node in (0, 17, medium_mesh.n_nodes // 3, medium_mesh.n_nodes - 1):
-            tet = locator.locate(medium_mesh.nodes[node])
-            assert tet >= 0
+        nodes = np.array([0, 17, medium_mesh.n_nodes // 3,
+                          medium_mesh.n_nodes - 1])
+        ids, ok = locator.locate_many(medium_mesh.nodes[nodes])
+        assert ok.all()
+        for node, tet in zip(nodes, ids):
             assert node in medium_mesh.tets[tet]
 
     def test_walk_matches_brute_force(self, medium_mesh, locator):
         rng = np.random.default_rng(11)
         pts = rng.uniform([-0.6, -0.6, -0.1], [0.6, 0.6, 0.45], (60, 3))
-        for p in pts:
+        ids, ok = locator.locate_many(pts)
+        for p, found, hit in zip(pts, ids, ok):
             oracle = brute_force_containing_tets(medium_mesh, p)
-            found = locator.locate(p)
             if len(oracle) == 0:
-                assert found == -1
+                assert found == -1 and not hit
             else:
-                assert found in oracle
+                assert found in oracle and hit
 
     def test_outside_points_rejected(self, locator):
-        for p in ([1.5, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, 0.0, 0.9]):
-            assert locator.locate(np.array(p)) == -1
+        pts = np.array([[1.5, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, 0.0, 0.9]])
+        ids, ok = locator.locate_many(pts)
+        assert (ids == -1).all() and not ok.any()
 
-    def test_face_point_prefers_lowest_tet(self, medium_mesh, locator):
+    def test_face_point_resolves_to_a_containing_tet(self, medium_mesh,
+                                                     locator):
         nbr = medium_mesh.neighbors()
         e = int(np.argmax(nbr.min(axis=1)))  # any tet with 4 neighbors
         face_local = 0
         other = nbr[e, face_local]
         verts = [v for i, v in enumerate(medium_mesh.tets[e]) if i != face_local]
         p = medium_mesh.nodes[verts].mean(axis=0)
-        found = locator.locate(p)
+        ids, ok = locator.locate_many(p[None])
         oracle = brute_force_containing_tets(medium_mesh, p)
-        assert found == oracle.min()
+        assert ok[0] and ids[0] in oracle
         assert {e, other} <= set(oracle)
+
+
+def interpolate_points(locator, points, field):
+    """P1 values at points through the batched calls the solver uses."""
+    ids, ok = locator.locate_many(points)
+    assert ok.all()
+    return locator.interpolate_at(ids, points, field)
 
 
 class TestInterpolate:
     def test_nodal_values_exact(self, medium_mesh, locator):
         field = np.sin(medium_mesh.nodes @ np.array([1.0, 2.0, 3.0]))
-        for node in (0, 5, 100, medium_mesh.n_nodes - 1):
-            val = locate_and_interpolate(medium_mesh, medium_mesh.nodes[node],
-                                         field, locator=locator)
-            assert abs(val - field[node]) < 1e-12
+        nodes = np.array([0, 5, 100, medium_mesh.n_nodes - 1])
+        vals = interpolate_points(locator, medium_mesh.nodes[nodes], field)
+        assert np.abs(vals - field[nodes]).max() < 1e-12
 
     def test_linear_reproduction_at_centroids(self, medium_mesh, locator):
         c = np.array([0.7, -1.3, 2.1])
@@ -95,14 +104,16 @@ class TestInterpolate:
 
     def test_vector_fields(self, medium_mesh, locator):
         field = medium_mesh.nodes * np.array([1.0, -2.0, 0.5])
-        p = np.array([0.1, 0.2, 0.15])
-        val = locate_and_interpolate(medium_mesh, p, field, locator=locator)
+        p = np.array([[0.1, 0.2, 0.15]])
+        val = interpolate_points(locator, p, field)
+        assert val.shape == (1, 3)
         assert np.allclose(val, p * [1.0, -2.0, 0.5], atol=1e-12)
 
-    def test_outside_raises(self, medium_mesh, locator):
+    def test_outside_raises(self, locator):
+        # a foot can only be clamped back toward an origin inside the mesh
+        p = np.array([[3.0, 0.0, 0.0]])
         with pytest.raises(PointLocationError):
-            locate_and_interpolate(medium_mesh, np.array([3.0, 0.0, 0.0]),
-                                   medium_mesh.nodes[:, 0], locator=locator)
+            locator.clamp_inside(p, p)
 
 
 class TestClamp:

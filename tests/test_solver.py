@@ -4,6 +4,7 @@ import scipy.sparse.linalg as spla
 
 import swirlfem as sf
 from swirlfem import fem
+from swirlfem.pointlocate import TetLocator
 from swirlfem.solver import ConvergenceError, StepOperator
 from swirlfem.verify import manufactured_solution
 
@@ -37,32 +38,44 @@ class TestConfig:
             sf.SolverConfig(nu=1.0, tau=0.1, t_end=1.0, delta_s0=0.0)
 
 
+def upstream_points(mesh, state, points, tau):
+    """Feet x - v(x) tau of the characteristics through points, clamped
+    inside the mesh by the batched calls StepOperator.composed_velocity
+    makes; returns (feet, their tets, the locator)."""
+    loc = TetLocator(mesh)
+    tets, ok = loc.locate_many(points)
+    assert ok.all()
+    v = loc.interpolate_at(tets, points, state.velocity)
+    feet, foot_tets = loc.clamp_inside(points, points - tau * v, tets)
+    return feet, foot_tets, loc
+
+
 class TestUpstreamPoint:
     def test_zero_velocity_fixed_point(self, small_mesh, cfg):
         state = zero_state(small_mesh)
-        x = small_mesh.nodes[small_mesh.n_nodes // 2]
-        assert np.allclose(sf.upstream_point(small_mesh, state, x, cfg.tau), x)
+        x = small_mesh.nodes[[small_mesh.n_nodes // 2]]
+        feet, _, _ = upstream_points(small_mesh, state, x, cfg.tau)
+        assert np.allclose(feet, x)
 
     def test_boundary_node_stays(self, small_mesh, cfg):
         state = zero_state(small_mesh, step_index=1)
-        x = small_mesh.nodes[small_mesh.boundary_nodes[0]]
-        assert np.allclose(sf.upstream_point(small_mesh, state, x, cfg.tau), x)
+        x = small_mesh.nodes[[small_mesh.boundary_nodes[0]]]
+        feet, _, _ = upstream_points(small_mesh, state, x, cfg.tau)
+        assert np.allclose(feet, x)
 
     def test_large_displacement_stays_inside(self, small_mesh, cfg):
-        from swirlfem.pointlocate import TetLocator
         state = zero_state(small_mesh)
         state.velocity[:] = [80.0, 0.0, 0.0]  # tau * v far beyond the wall
-        loc = TetLocator(small_mesh)
-        for node in (0, 7, 23):
-            p = sf.upstream_point(small_mesh, state, small_mesh.nodes[node],
-                                  cfg.tau)
-            assert loc.locate(p) >= 0
+        x = small_mesh.nodes[[0, 7, 23]]
+        feet, tets, loc = upstream_points(small_mesh, state, x, cfg.tau)
+        assert (tets >= 0).all()
+        _, ok = loc.locate_many(feet)
+        assert ok.all()
 
 
 class TestStepSystem:
     def test_zero_state_is_fixed_point(self, small_mesh, cfg, operator):
-        s1 = sf.time_step(small_mesh, zero_state(small_mesh), cfg,
-                          operator=operator)
+        s1 = sf.time_step(operator, zero_state(small_mesh))
         assert np.abs(s1.velocity).max() == 0.0
         assert np.abs(s1.pressure).max() == 0.0
 
@@ -148,7 +161,7 @@ class TestTimeStep:
         state = sf.sample_initial_state(
             small_mesh, sf.ProfileKind.STRAIGHT_FRAME, sf.straight_domain())
         for _ in range(3):
-            state = sf.time_step(small_mesh, state, cfg, operator=operator)
+            state = sf.time_step(operator, state)
             state.validate(small_mesh)
         assert state.step_index == 3
         assert abs(state.time - 3 * cfg.tau) < 1e-15
@@ -158,7 +171,7 @@ class TestTimeStep:
         state = sf.sample_initial_state(
             small_mesh, sf.ProfileKind.STRAIGHT_FRAME, sf.straight_domain())
         e0 = kinetic_energy(state, small_mesh)
-        s1 = sf.time_step(small_mesh, state, cfg, operator=operator)
+        s1 = sf.time_step(operator, state)
         assert kinetic_energy(s1, small_mesh) < e0
 
     def test_determinism(self, small_mesh, cfg):
@@ -168,7 +181,7 @@ class TestTimeStep:
                 small_mesh, sf.ProfileKind.STRAIGHT_FRAME,
                 sf.straight_domain())
             for _ in range(2):
-                state = sf.time_step(small_mesh, state, cfg, operator=op)
+                state = sf.time_step(op, state)
             return state
 
         a, b = run(), run()
@@ -181,8 +194,8 @@ class TestTimeStep:
                                  direct_threshold=1)
         state = sf.sample_initial_state(
             small_mesh, sf.ProfileKind.STRAIGHT_FRAME, sf.straight_domain())
-        s_direct = sf.time_step(small_mesh, state, base)
-        s_krylov = sf.time_step(small_mesh, state, forced)
+        s_direct = sf.time_step(StepOperator(small_mesh, base), state)
+        s_krylov = sf.time_step(StepOperator(small_mesh, forced), state)
         assert np.abs(s_direct.velocity - s_krylov.velocity).max() < 1e-7
         assert np.abs(s_direct.pressure - s_krylov.pressure).max() < 1e-6
 
@@ -193,10 +206,9 @@ class TestDivergenceControl:
         def div_after(n, tau):
             mesh = sf.build_straight_mesh(straight_spec, n_r=n, n_z=n)
             cfg = sf.SolverConfig(nu=1e-3, tau=tau, t_end=0.1)
-            op = StepOperator(mesh, cfg)
             state = sf.sample_initial_state(
                 mesh, sf.ProfileKind.STRAIGHT_FRAME, straight_spec)
-            state = sf.run_simulation(mesh, state, cfg, operator=op)
+            state = sf.run_simulation(StepOperator(mesh, cfg), state)
             return fem.divergence_l2(mesh, state.velocity)
 
         coarse = div_after(4, 0.025)
@@ -213,7 +225,7 @@ class TestManufacturedStep:
         cfg = sf.SolverConfig(nu=0.05, tau=tau, t_end=tau,
                               forcing=mms.forcing)
         op = StepOperator(mesh, cfg)
-        s1 = sf.time_step(mesh, mms.state(mesh, 0.0), cfg, operator=op)
+        s1 = sf.time_step(op, mms.state(mesh, 0.0))
         err = fem.mesh_l2_norm(mesh, s1.velocity
                                - mms.velocity(mesh.nodes, s1.time))
         # measured ratio err / (tau + h^2) is ~0.17 at this resolution and
@@ -229,12 +241,10 @@ class TestRunSimulation:
         seen = []
         state = sf.sample_initial_state(
             mesh, sf.ProfileKind.STRAIGHT_FRAME, straight_spec)
-        final = sf.run_simulation(mesh, state, cfg, operator=op,
-                                  sink=lambda s: seen.append(s.step_index),
-                                  sink_every=8)
+        final = sf.run_simulation(op, state,
+                                  sink=lambda s: seen.append(s.step_index))
         assert final.step_index == 240
-        assert len(seen) == 31          # t = 0, 0.1, ..., 3.0
-        assert seen[0] == 0 and seen[-1] == 240
+        assert seen == list(range(241))  # step 0, then after every step
 
     def test_resume_from_intermediate_state(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=3, n_z=3)
@@ -242,12 +252,12 @@ class TestRunSimulation:
         op = StepOperator(mesh, cfg)
         init = sf.sample_initial_state(
             mesh, sf.ProfileKind.STRAIGHT_FRAME, straight_spec)
-        full = sf.run_simulation(mesh, init, cfg, operator=op)
+        full = sf.run_simulation(op, init)
 
         half = init
         for _ in range(4):
-            half = sf.time_step(mesh, half, cfg, operator=op)
-        resumed = sf.run_simulation(mesh, half, cfg, operator=op)
+            half = sf.time_step(op, half)
+        resumed = sf.run_simulation(op, half)
         assert resumed.step_index == full.step_index
         assert np.array_equal(resumed.velocity, full.velocity)
         assert np.array_equal(resumed.pressure, full.pressure)
@@ -258,26 +268,23 @@ class TestRunSimulation:
         op = StepOperator(mesh, cfg)
         init = sf.sample_initial_state(
             mesh, sf.ProfileKind.STRAIGHT_FRAME, straight_spec)
-        full = sf.run_simulation(mesh, init, cfg, operator=op)
+        full = sf.run_simulation(op, init)
 
-        seen, saved = [], []
-        part = sf.run_simulation(mesh, init, cfg, operator=op, max_steps=3,
-                                 sink=lambda s: seen.append(s.step_index),
-                                 checkpoint=lambda s: saved.append(
-                                     s.step_index),
-                                 checkpoint_every=2)
+        seen = []
+        part = sf.run_simulation(op, init, max_steps=3,
+                                 sink=lambda s: seen.append(s.step_index))
         assert part.step_index == 3
-        assert seen == [0, 1, 2, 3] and saved == [2]
+        assert seen == [0, 1, 2, 3]
 
         # the cap never runs past n_steps
-        rest = sf.run_simulation(mesh, part, cfg, operator=op, max_steps=100)
+        rest = sf.run_simulation(op, part, max_steps=100)
         assert rest.step_index == full.step_index == 8
         assert np.array_equal(rest.velocity, full.velocity)
         assert np.array_equal(rest.pressure, full.pressure)
 
         seen.clear()
-        none = sf.run_simulation(mesh, init, cfg, operator=op, max_steps=0,
+        none = sf.run_simulation(op, init, max_steps=0,
                                  sink=lambda s: seen.append(s.step_index))
         assert none is init and seen == [0]
         with pytest.raises(ValueError, match="max_steps"):
-            sf.run_simulation(mesh, init, cfg, operator=op, max_steps=-1)
+            sf.run_simulation(op, init, max_steps=-1)
