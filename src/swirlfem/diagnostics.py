@@ -444,15 +444,6 @@ def connected_vortex_structures(mesh: Mesh, q_elem: np.ndarray,
     return out
 
 
-def delta_series(values):
-    """Per-step absolute changes |x_k - x_{k-1}| (vector norm for vectors)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        return np.abs(np.diff(arr))
-    d = np.diff(arr, axis=0)
-    return np.linalg.norm(d, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # one full diagnostics sample
 

@@ -20,13 +20,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .geometry import Mesh
+from .geometry import Mesh, nested_dissection
 from .pointlocate import TetLocator
 
 
 # Largest |mean pressure| a stepped state may carry (the pressure is gauged
 # to zero mean after every solve).
 GAUGE_TOL = 1e-10
+
+# GMRES restart length, and the number of restart cycles one GMRES call may
+# run before the solve is given up.  Verify's finest level (159,358
+# unknowns) converges in 12 inner iterations per call, so the bound of 360
+# leaves 30x headroom.
+GMRES_RESTART = 120
+GMRES_MAX_CYCLES = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -66,8 +73,10 @@ class SolverConfig:
     delta_s0: float = 1.0
     linear_tol: float = 1e-8
     forcing: object = None            # f(points, t) -> (n, 3); verification only
-    direct_threshold: int = 25_000    # sparse LU below; block-preconditioned
-                                      # GMRES above (LU fill grows too fast)
+    direct_threshold: int = 25_000    # coupled sparse LU (nested-dissection
+                                      # order) up to here; block-preconditioned
+                                      # GMRES above, where the coupled LU's
+                                      # fill and memory grow too fast
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -84,11 +93,34 @@ class SolverConfig:
         return int(math.floor(self.t_end / self.tau * (1.0 + 1e-12) + 1e-12))
 
 
+class _OrderedLU:
+    """Sparse LU of a[perm][:, perm], factorized in that order (no column
+    ordering of its own) on first use; solve() takes and returns vectors in
+    the unpermuted numbering."""
+
+    def __init__(self, a: sp.spmatrix, perm: np.ndarray):
+        self.perm = perm
+        self._a = a[perm][:, perm].tocsc()
+        self._lu = None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            # looked up on the module at call time, so a wrapper installed on
+            # spla.splu sees every factorization
+            self._lu = spla.splu(self._a, permc_spec="NATURAL")
+            self._a = None
+        x = np.empty_like(b)
+        x[self.perm] = self._lu.solve(b[self.perm])
+        return x
+
+
 class StepOperator:
     """Assembled constant system plus per-step right-hand side machinery.
 
-    Building the operator factorizes nothing; the factorization happens on
-    first solve and is reused for every subsequent step.
+    Building the operator orders the unknowns by nested dissection of the
+    mesh and permutes the matrices to be factorized, but factorizes nothing;
+    each factorization happens on first solve and is reused for every
+    subsequent step.
     """
 
     def __init__(self, mesh: Mesh, cfg: SolverConfig):
@@ -132,11 +164,25 @@ class StepOperator:
         ]
         self.matrix = sp.bmat(rows, format="csr")
         self.n_unknowns = self.matrix.shape[0]
-        self._s_vel = s_vel
-        self._g_blocks = g_blocks
-        self._schur = stab + cfg.tau * (z_row @ stiff).tocsr()
+
+        # Unknowns in nested-dissection node order: per node its three
+        # velocity components (interior nodes only), then its pressure.
+        order = nested_dissection(mesh)
+        n = self.n_int
+        k = np.full(mesh.n_nodes, -1)
+        k[ii] = np.arange(n)
+        k = k[order]  # interior index along the order, -1 at wall nodes
+        dofs = np.stack([k, k + n, k + 2 * n, 3 * n + order], axis=1)
+        has = np.ones(dofs.shape, dtype=bool)
+        has[k < 0, :3] = False
         self._lu = None
-        self._block_prec = None
+        if self.n_unknowns <= cfg.direct_threshold:
+            self._lu = _OrderedLU(self.matrix, dofs[has])
+        else:
+            self._g_blocks = g_blocks
+            self._s_lu = _OrderedLU(s_vel, k[k >= 0])
+            self._t_lu = _OrderedLU(stab + cfg.tau * (z_row @ stiff).tocsr(),
+                                    order)
 
         self._quad_pts = fem.quadrature_points(mesh).reshape(-1, 3)
         self._quad_seeds = np.repeat(np.arange(mesh.n_tets), 4)
@@ -180,9 +226,7 @@ class StepOperator:
         if not np.isfinite(rhs).all():
             # GMRES would spin through all its iterations on a NaN rhs
             raise ConvergenceError("non-finite right-hand side")
-        if self.n_unknowns <= cfg.direct_threshold:
-            if self._lu is None:
-                self._lu = spla.splu(self.matrix.tocsc())
+        if self._lu is not None:
             x = self._lu.solve(rhs)
         else:
             x = self._solve_krylov(rhs)
@@ -218,34 +262,30 @@ class StepOperator:
         factorize even when the coupled LU is not.
         """
         cfg = self.cfg
-        if self._block_prec is None:
-            s_lu = spla.splu(self._s_vel.tocsc())
-            t_lu = spla.splu(self._schur.tocsc())
-            n, m = self.n_int, self.mesh.n_nodes
-            g = self._g_blocks
+        n = self.n_int
+        g = self._g_blocks
 
-            def apply(r):
-                out = np.empty_like(r)
-                p = t_lu.solve(r[3 * n:])
-                for d in range(3):
-                    out[d * n:(d + 1) * n] = s_lu.solve(
-                        r[d * n:(d + 1) * n] + g[d] @ p)
-                out[3 * n:] = p
-                return out
+        def apply(r):
+            out = np.empty_like(r)
+            p = self._t_lu.solve(r[3 * n:])
+            for d in range(3):
+                out[d * n:(d + 1) * n] = self._s_lu.solve(
+                    r[d * n:(d + 1) * n] + g[d] @ p)
+            out[3 * n:] = p
+            return out
 
-            self._block_prec = spla.LinearOperator(
-                (3 * n + m, 3 * n + m), apply)
-
-        maxiter = 10 * self.n_unknowns
+        prec = spla.LinearOperator(self.matrix.shape, apply)
         rtol = 0.02 * cfg.linear_tol
         bnorm = float(np.linalg.norm(rhs))
         for _ in range(3):
+            # scipy counts maxiter in restart cycles
             x, info = spla.gmres(self.matrix, rhs, rtol=rtol, atol=0.0,
-                                 restart=120, maxiter=maxiter,
-                                 M=self._block_prec)
+                                 restart=GMRES_RESTART,
+                                 maxiter=GMRES_MAX_CYCLES, M=prec)
             if info != 0:
                 raise ConvergenceError(
-                    f"GMRES did not converge within {maxiter} iterations")
+                    f"GMRES did not converge within {GMRES_MAX_CYCLES} "
+                    f"restart cycles of {GMRES_RESTART} iterations")
             res = float(np.linalg.norm(self.matrix @ x - rhs))
             if res <= cfg.linear_tol * max(bnorm, 1.0):
                 return x

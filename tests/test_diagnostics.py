@@ -485,16 +485,6 @@ class TestStructures:
                 medium_mesh, np.zeros(medium_mesh.n_tets), 0.0)
 
 
-class TestDeltaSeries:
-    def test_scalar_cases(self):
-        assert np.array_equal(dg.delta_series([1.0, 1.0, 1.0]), [0.0, 0.0])
-        assert np.array_equal(dg.delta_series([0.0, 3.0, 1.0]), [3.0, 2.0])
-
-    def test_vector_norm(self):
-        series = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        assert np.allclose(dg.delta_series(series), [1.0, 1.0])
-
-
 class TestComputeRecord:
     def test_full_record(self, straight_spec):
         mesh = sf.build_straight_mesh(straight_spec, n_r=4, n_z=5)

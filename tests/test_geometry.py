@@ -316,3 +316,48 @@ class TestPlanes:
     def test_rejects_bad_count(self, straight_spec, small_mesh):
         with pytest.raises(ValueError):
             sf.cross_section_planes(straight_spec, 0, small_mesh)
+
+
+def tet_edges(mesh):
+    i, j = np.triu_indices(4, k=1)
+    return mesh.tets[:, i].ravel(), mesh.tets[:, j].ravel()
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("name", ["small_mesh", "medium_mesh",
+                                      "curved_mesh"])
+    def test_permutation_of_all_nodes(self, name, request):
+        mesh = request.getfixturevalue(name)
+        order = geo.nested_dissection(mesh)
+        assert np.array_equal(np.sort(order), np.arange(mesh.n_nodes))
+
+    @pytest.mark.parametrize("name", ["medium_mesh", "curved_mesh"])
+    def test_top_level_separator(self, name, request):
+        mesh = request.getfixturevalue(name)
+        order = geo.nested_dissection(mesh)
+        n = mesh.n_nodes
+        assert n > geo.ND_LEAF
+        left = np.zeros(n, dtype=bool)
+        left[order[:n // 2]] = True
+
+        # the left part is the lower half along the longest extent
+        axis = np.argmax(np.ptp(mesh.nodes, axis=0))
+        x = mesh.nodes[:, axis]
+        assert x[left].max() <= x[~left].min()
+
+        # the separator is every right node sharing an edge with the left,
+        # and it comes last
+        a, b = tet_edges(mesh)
+        cut = left[a] != left[b]
+        sep = np.unique(np.where(left[a], b, a)[cut])
+        assert len(sep) > 0
+        assert np.array_equal(np.sort(order[n - len(sep):]), sep)
+
+        # without it, no tet edge joins the two parts
+        rest = np.zeros(n, dtype=bool)
+        rest[order[n // 2:n - len(sep)]] = True
+        assert not ((left[a] & rest[b]) | (rest[a] & left[b])).any()
+
+    def test_deterministic(self, curved_mesh):
+        assert np.array_equal(geo.nested_dissection(curved_mesh),
+                              geo.nested_dissection(curved_mesh))
