@@ -69,11 +69,10 @@ class RunConfig:
     def nu(self) -> float:
         return 1.0 / self.reynolds
 
-    def solver_config(self, forcing=None) -> SolverConfig:
+    def solver_config(self) -> SolverConfig:
         return SolverConfig(nu=self.nu, tau=self.tau, t_end=self.t_end,
                             delta_s0=self.delta_s0,
-                            linear_tol=self.linear_tol,
-                            forcing=forcing)
+                            linear_tol=self.linear_tol)
 
     def steps_per(self, interval: float, name: str) -> int:
         ratio = interval / self.tau

@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import DomainKind, DomainSpec, Mesh, inverse_torus_map
+from .solver import FieldState
 
 
 class SignConvention(Enum):
@@ -135,8 +136,6 @@ def sample_initial_state(mesh: Mesh, kind: ProfileKind, spec: DomainSpec,
     scheme enforces no-slip from the first step on, not at t = 0.  Pressure
     starts at 0.
     """
-    from .solver import FieldState
-
     if kind is ProfileKind.STRAIGHT_FRAME:
         v = initial_velocity_straight(mesh.nodes, params)
     else:

@@ -20,8 +20,7 @@ from .diagnostics import compute_record
 from .geometry import DomainKind, DomainSpec, build_straight_mesh, \
     cross_section_planes, map_to_torus
 from .initcond import sample_initial_state
-from .solver import StepOperator, run_simulation
-from .verify import convergence_study
+from .solver import FieldState, StepOperator, run_simulation
 from .vtkio import record_to_row
 
 OUTPUT_ROOT_ENV = "SWIRLFEM_OUTPUT_ROOT"
@@ -144,9 +143,7 @@ _SNAP_TITLE_RE = re.compile(r"step=(\d+) t=([^\s]+)")
 def read_snapshot(path, mesh):
     """Load a snapshot VTK back into a FieldState (exact values); its nodes
     and tets must equal the mesh's, which %.17g round-trips exactly."""
-    from .solver import FieldState
-
-    nodes, tets, pdata, _ = vtkio.read_vtk(path)
+    nodes, tets, pdata, _, title = vtkio.read_vtk(path)
     if not (np.array_equal(nodes, mesh.nodes)
             and np.array_equal(tets, mesh.tets)):
         raise ValueError(
@@ -154,9 +151,6 @@ def read_snapshot(path, mesh):
             f"differs from the configured mesh ({mesh.n_nodes} nodes, "
             f"{mesh.n_tets} tets)"
         )
-    with open(path) as fh:
-        fh.readline()
-        title = fh.readline()
     m = _SNAP_TITLE_RE.search(title)
     if not m:
         raise ValueError(f"{path}: snapshot title lacks step/time metadata")
@@ -185,6 +179,10 @@ def cmd_analyze(cfg: RunConfig, snapshot_paths, out_dir=None) -> Path:
 def cmd_verify(cfg: RunConfig, out_dir=None):
     """Manufactured-solution convergence study; writes the report and
     returns it."""
+    # imported here: sympy costs about 32 MB and 0.3 s at start-up, which
+    # mesh, run and analyze never need
+    from .verify import convergence_study
+
     out = resolve_output_dir(cfg, out_dir)
     report = convergence_study()
     vtkio._atomic_write(out / "verify_report.txt", report.format())

@@ -2,12 +2,11 @@
 
 Queries walk from a seed tet toward the target (step across the face with
 the most negative barycentric coordinate).  Walks that hit the boundary or
-cycle fall back to a kd-tree candidate search and finally to an exhaustive
-scan, so a NotFound outcome really means the point is outside the mesh.
+cycle fall back to an exhaustive scan of every tet, so a NotFound outcome
+really means the point is outside the mesh.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import GEOM_EPS, Mesh
 
@@ -31,7 +30,6 @@ class TetLocator:
         self._v0 = mesh.nodes[mesh.tets[:, 0]]
         self._tinv = mesh.basis_gradients()[:, 1:]
         self._neighbors = mesh.neighbors()
-        self._tree = cKDTree(mesh.tet_centroids())
 
     def barycentric(self, tet_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
         """(Q, 4) barycentric coordinates of points w.r.t. the given tets."""
@@ -40,18 +38,18 @@ class TetLocator:
         lam0 = 1.0 - lam.sum(axis=1)
         return np.concatenate([lam0[:, None], lam], axis=1)
 
-    def locate_many(self, points: np.ndarray, seeds=None,
+    def locate_many(self, points: np.ndarray, seeds: np.ndarray,
                     fallback: bool = True):
-        """Locate each point; returns (tet_ids, found_mask).
+        """Locate each point by a walk from its seed tet; returns
+        (tet_ids, found_mask).
 
-        tet_ids are -1 where the point is outside the mesh.  With
-        fallback=False a walk that hits the boundary counts as outside
+        tet_ids are -1 where the point is outside the mesh.  A failed walk
+        goes to the exhaustive scan, where the lowest containing tet wins.
+        With fallback=False a walk that hits the boundary counts as outside
         (cheap containment test for points expected near their seed).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(pts)
-        if seeds is None:
-            _, seeds = self._tree.query(pts)
         cur = np.asarray(seeds, dtype=np.int64).copy()
         result = np.full(n, -1, dtype=np.int64)
         active = np.arange(n)
@@ -72,26 +70,9 @@ class TetLocator:
             active = sub[~hit_wall]
 
         if fallback:
-            missing = np.nonzero(result < 0)[0]
-            if len(missing):
-                result[missing] = self._locate_fallback(pts[missing])
+            for i in np.nonzero(result < 0)[0]:
+                result[i] = self._locate_exhaustive(pts[i])
         return result, result >= 0
-
-    def _locate_fallback(self, pts: np.ndarray) -> np.ndarray:
-        out = np.full(len(pts), -1, dtype=np.int64)
-        k = min(32, self.mesh.n_tets)
-        _, cand = self._tree.query(pts, k=k)
-        cand = np.atleast_2d(cand)
-        for i in range(len(pts)):
-            ids = np.sort(cand[i])
-            lam = self.barycentric(ids, np.repeat(pts[i][None], len(ids), axis=0))
-            ok = np.nonzero(lam.min(axis=1) >= -BARY_TOL)[0]
-            if len(ok):
-                out[i] = ids[ok[0]]
-        left = np.nonzero(out < 0)[0]
-        for i in left:
-            out[i] = self._locate_exhaustive(pts[i])
-        return out
 
     def _locate_exhaustive(self, p: np.ndarray) -> int:
         chunk = 65536
@@ -113,9 +94,10 @@ class TetLocator:
         return np.einsum("qi,qi->q", lam, vals)
 
     def clamp_inside(self, origins: np.ndarray, targets: np.ndarray,
-                     seeds=None):
+                     seeds: np.ndarray):
         """Pull targets that left the mesh back along the segment from their
-        (inside) origin to just inside the last boundary crossing.
+        (inside) origin to just inside the last boundary crossing; seeds are
+        the tets the walks start from (the origins' own tets).
 
         Returns (points, tet_ids); total, every output lies in some tet.
         The bisection uses the walk-only containment test (a boundary hit
@@ -129,7 +111,7 @@ class TetLocator:
             lo = np.zeros(len(bad))
             hi = np.ones(len(bad))
             d = pts[bad] - orig[bad]
-            bad_seeds = None if seeds is None else np.asarray(seeds)[bad]
+            bad_seeds = np.asarray(seeds)[bad]
             for _ in range(BISECTIONS):
                 mid = 0.5 * (lo + hi)
                 trial = orig[bad] + mid[:, None] * d
@@ -146,7 +128,8 @@ class TetLocator:
             if len(still):
                 # pathological: collapse fully onto the (inside) origin
                 pts[bad[still]] = orig[bad[still]]
-                ids_fix, ok_fix = self.locate_many(pts[bad[still]])
+                ids_fix, ok_fix = self.locate_many(pts[bad[still]],
+                                                   bad_seeds[still])
                 if not ok_fix.all():
                     raise PointLocationError(
                         "clamped point could not be located; origin outside mesh?"

@@ -23,6 +23,14 @@ from . import fem
 from .geometry import DomainSpec, build_straight_mesh, straight_domain
 from .solver import FieldState, SolverConfig, StepOperator, run_simulation
 
+# Amplitudes of the manufactured field's parts (see manufactured_solution)
+# and the angular frequency of its cos(omega t) time factor.
+AMP_DIPOLE = 8.0
+AMP_SWIRL = 15.0
+AMP_STREAM = 6.0
+AMP_PRESSURE = 0.3
+OMEGA = 1.0
+
 
 @dataclass
 class ManufacturedSolution:
@@ -36,10 +44,8 @@ class ManufacturedSolution:
                           pressure=self.pressure(mesh.nodes, t))
 
 
-def manufactured_solution(spec: DomainSpec | None = None, nu: float = 0.05,
-                          amp_dipole: float = 8.0, amp_swirl: float = 15.0,
-                          amp_stream: float = 6.0, amp_pressure: float = 0.3,
-                          omega: float = 1.0) -> ManufacturedSolution:
+def manufactured_solution(spec: DomainSpec | None = None,
+                          nu: float = 0.05) -> ManufacturedSolution:
     """Divergence-free polynomial field on the straight cylinder with the
     exact body force for the momentum equation.
 
@@ -55,29 +61,29 @@ def manufactured_solution(spec: DomainSpec | None = None, nu: float = 0.05,
 
     x, y, z, t = sp.symbols("x y z t")
     r2 = x * x + y * y
-    s = sp.cos(omega * t)
+    s = sp.cos(OMEGA * t)
     axial = (z + a_len) * (4 * a_len - z)
     g = axial ** 2
     gp = sp.diff(g, z)
     ring = (r2 - rmax ** 2)
 
     # horizontal dipole: v = curl(0, 0, phi), phi = C ring^2 axial
-    phi = amp_dipole * ring ** 2 * axial
+    phi = AMP_DIPOLE * ring ** 2 * axial
     vx = sp.diff(phi, y) * s
     vy = -sp.diff(phi, x) * s
     vz = sp.Integer(0) * x
     # swirl: v_theta = B r (rmax^2 - r^2) axial
-    swirl = amp_swirl * (rmax ** 2 - r2) * axial * s
+    swirl = AMP_SWIRL * (rmax ** 2 - r2) * axial * s
     vx += -y * swirl
     vy += x * swirl
     # vertical circulation: v_r = -A r ring^2 g', v_z = A (2 ring^2 + 4 r^2 ring) g
-    vx += -amp_stream * x * ring ** 2 * gp * s
-    vy += -amp_stream * y * ring ** 2 * gp * s
-    vz += amp_stream * (2 * ring ** 2 + 4 * r2 * ring) * g * s
+    vx += -AMP_STREAM * x * ring ** 2 * gp * s
+    vy += -AMP_STREAM * y * ring ** 2 * gp * s
+    vz += AMP_STREAM * (2 * ring ** 2 + 4 * r2 * ring) * g * s
 
     # kept moderate: the equal-order stabilization approximates pressure at
     # low order and a strong p* drags the observed velocity L2 rate down
-    p_spatial = amp_pressure * (x * y + y * z + z * z)
+    p_spatial = AMP_PRESSURE * (x * y + y * z + z * z)
 
     # the time factor separates: v = s(t) V(x), p = s(t) P(x), so
     # f = s'(t) V + s(t)^2 (V . grad) V + s(t) (-nu lap V + grad P)
@@ -113,17 +119,17 @@ def manufactured_solution(spec: DomainSpec | None = None, nu: float = 0.05,
 
     def velocity(points, tt):
         big, _, _ = fields_at(points)
-        return float(np.cos(omega * tt)) * big
+        return float(np.cos(OMEGA * tt)) * big
 
     def pressure(points, tt):
         pts = np.atleast_2d(points)
-        return float(np.cos(omega * tt)) * np.broadcast_to(
+        return float(np.cos(OMEGA * tt)) * np.broadcast_to(
             p_fn(pts[:, 0], pts[:, 1], pts[:, 2]), pts.shape[0]).astype(float)
 
     def forcing(points, tt):
         big, cv, ln = fields_at(points)
-        s_t = float(np.cos(omega * tt))
-        sp_t = float(-omega * np.sin(omega * tt))
+        s_t = float(np.cos(OMEGA * tt))
+        sp_t = float(-OMEGA * np.sin(OMEGA * tt))
         return sp_t * big + (s_t * s_t) * cv + s_t * ln
 
     return ManufacturedSolution(velocity=velocity, pressure=pressure,

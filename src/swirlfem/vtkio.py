@@ -13,6 +13,7 @@ import numpy as np
 
 from .diagnostics import REGION_NAMES, DiagnosticsRecord
 from .geometry import Mesh
+from .solver import FieldState
 
 CHECKPOINT_FORMAT = 2
 
@@ -86,7 +87,7 @@ def write_vtk(path, nodes: np.ndarray, tets: np.ndarray,
 def read_vtk(path):
     """Read files produced by write_vtk.
 
-    Returns (nodes, tets, point_data, cell_data).  Only the subset of the
+    Returns (nodes, tets, point_data, cell_data, title).  Only the subset of the
     legacy format that the writer emits is supported.
     """
     with open(path) as fh:
@@ -104,7 +105,8 @@ def read_vtk(path):
         return line
 
     expect("# vtk DataFile")
-    i += 1  # title
+    title = tokens[i] if i < len(tokens) else ""
+    i += 1
     expect("ASCII")
     expect("DATASET UNSTRUCTURED_GRID")
     n_pts = int(expect("POINTS").split()[1])
@@ -153,13 +155,12 @@ def read_vtk(path):
             i += count
         else:
             raise ValueError(f"{path}: unsupported section {line!r}")
-    return nodes, tets, point_data, cell_data
+    return nodes, tets, point_data, cell_data, title
 
 
-def write_mesh_vtk(path, mesh: Mesh, cell_data: dict | None = None):
-    data = dict(cell_data or {})
-    data.setdefault("region", np.zeros(mesh.n_tets, dtype=np.int64))
-    write_vtk(path, mesh.nodes, mesh.tets, cell_data=data,
+def write_mesh_vtk(path, mesh: Mesh):
+    write_vtk(path, mesh.nodes, mesh.tets,
+              cell_data={"region": np.zeros(mesh.n_tets, dtype=np.int64)},
               title="swirlfem mesh")
 
 
@@ -197,8 +198,6 @@ def write_checkpoint(path, state, record_rows, config_text: str):
 def read_checkpoint(path, n_nodes: int, config_text: str | None = None):
     """(state, diagnostics rows) of a checkpoint; with config_text, refuse
     one written under another config."""
-    from .solver import FieldState
-
     with np.load(path) as data:
         version = int(data["format"])
         if version != CHECKPOINT_FORMAT:

@@ -35,3 +35,12 @@ def zero_state(mesh, step_index=0):
     return sf.FieldState(step_index=step_index, time=0.0,
                          velocity=np.zeros((mesh.n_nodes, 3)),
                          pressure=np.zeros(mesh.n_nodes))
+
+
+def nearest_centroid_seeds(mesh, points):
+    """Walk seeds for points with no tet of their own: the tet whose
+    centroid is nearest, by brute force over every tet."""
+    cen = mesh.tet_centroids()
+    pts = np.atleast_2d(points)
+    d2 = ((pts[:, None, :] - cen[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)

@@ -21,6 +21,9 @@ from swirlfem.config import parse_config
 from swirlfem.solver import StepOperator
 from swirlfem.verify import convergence_study
 
+# the slow module: `pytest -m "not acceptance"` runs everything else
+pytestmark = pytest.mark.acceptance
+
 DESK_N = 12
 DESK_RE = 1000.0
 DESK_TAU = 1.25e-2

@@ -1,9 +1,14 @@
 """End-to-end checks of the pipeline commands and CLI surface on tiny runs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from swirlfem import solver, vtkio
+from swirlfem import solver, verify, vtkio
 from swirlfem.cli import main
 from swirlfem.config import parse_config
 from swirlfem import pipeline
@@ -37,7 +42,7 @@ def set_wall_velocity(cfg, path, value):
 class TestPipeline:
     def test_cmd_mesh_writes_readable_vtk(self, tiny_cfg, tmp_path):
         path = pipeline.cmd_mesh(tiny_cfg, tmp_path)
-        nodes, tets, _, cdata = vtkio.read_vtk(path)
+        nodes, tets, _, cdata, _ = vtkio.read_vtk(path)
         assert len(tets) > 0 and len(nodes) > 0
         assert "region" in cdata
 
@@ -239,3 +244,33 @@ class TestCli:
         assert main(["run", "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "tau" in err
+
+    def test_verify_command_writes_what_it_prints(self, tmp_path, capsys,
+                                                  monkeypatch):
+        study = verify.convergence_study
+        reports = []
+
+        def short_study():
+            reports.append(study(levels=((3, 3), (6, 6)), t_end=0.05))
+            return reports[-1]
+
+        # cmd_verify looks the study up at call time, so the patch holds
+        monkeypatch.setattr(verify, "convergence_study", short_study)
+        out = tmp_path / "out"
+        assert main(["verify", "--out", str(out)]) == 0
+        report = out / "verify_report.txt"
+        assert report.exists()
+        assert len(reports) == 1
+        assert report.read_text() == capsys.readouterr().out \
+            == reports[0].format()
+
+    def test_import_leaves_out_sympy_and_kdtree(self):
+        # mesh, run and analyze need neither; verify imports sympy itself
+        src = str(Path(solver.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, swirlfem.cli; print(sorted(m for m in "
+                "('sympy', 'scipy.spatial') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

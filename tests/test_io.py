@@ -14,7 +14,7 @@ class TestVtkRoundTrip:
             small_mesh, sf.ProfileKind.STRAIGHT_FRAME, sf.straight_domain())
         path = tmp_path / "snap.vtk"
         vtkio.write_snapshot_vtk(path, small_mesh, state)
-        nodes, tets, pdata, cdata = vtkio.read_vtk(path)
+        nodes, tets, pdata, cdata, _ = vtkio.read_vtk(path)
         assert np.array_equal(nodes, small_mesh.nodes)
         assert np.array_equal(tets, small_mesh.tets)
         assert np.array_equal(pdata["velocity"], state.velocity)
@@ -25,7 +25,7 @@ class TestVtkRoundTrip:
         path = tmp_path / "mesh.vtk"
         vtkio.write_vtk(path, small_mesh.nodes, small_mesh.tets,
                         cell_data={"region": labels})
-        _, _, pdata, cdata = vtkio.read_vtk(path)
+        _, _, pdata, cdata, _ = vtkio.read_vtk(path)
         assert pdata == {}
         assert np.array_equal(cdata["region"], labels)
         assert cdata["region"].dtype.kind == "i"
@@ -38,7 +38,7 @@ class TestVtkRoundTrip:
         tets = np.array([[0, 1, 2, 3]])
         path = tmp_path / "weird.vtk"
         vtkio.write_vtk(path, nodes, tets)
-        back, _, _, _ = vtkio.read_vtk(path)
+        back, _, _, _, _ = vtkio.read_vtk(path)
         assert np.array_equal(back, nodes)
 
     def test_reader_rejects_garbage(self, tmp_path):

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import swirlfem as sf
+from swirlfem import geometry as geo
 from swirlfem.pointlocate import BARY_TOL, PointLocationError, TetLocator
+
+from conftest import nearest_centroid_seeds
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +34,9 @@ class TestLocate:
     def test_nodes_resolve_to_containing_tets(self, medium_mesh, locator):
         nodes = np.array([0, 17, medium_mesh.n_nodes // 3,
                           medium_mesh.n_nodes - 1])
-        ids, ok = locator.locate_many(medium_mesh.nodes[nodes])
+        pts = medium_mesh.nodes[nodes]
+        ids, ok = locator.locate_many(pts,
+                                      nearest_centroid_seeds(medium_mesh, pts))
         assert ok.all()
         for node, tet in zip(nodes, ids):
             assert node in medium_mesh.tets[tet]
@@ -39,7 +44,8 @@ class TestLocate:
     def test_walk_matches_brute_force(self, medium_mesh, locator):
         rng = np.random.default_rng(11)
         pts = rng.uniform([-0.6, -0.6, -0.1], [0.6, 0.6, 0.45], (60, 3))
-        ids, ok = locator.locate_many(pts)
+        ids, ok = locator.locate_many(pts,
+                                      nearest_centroid_seeds(medium_mesh, pts))
         for p, found, hit in zip(pts, ids, ok):
             oracle = brute_force_containing_tets(medium_mesh, p)
             if len(oracle) == 0:
@@ -47,9 +53,10 @@ class TestLocate:
             else:
                 assert found in oracle and hit
 
-    def test_outside_points_rejected(self, locator):
+    def test_outside_points_rejected(self, medium_mesh, locator):
         pts = np.array([[1.5, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, 0.0, 0.9]])
-        ids, ok = locator.locate_many(pts)
+        ids, ok = locator.locate_many(pts,
+                                      nearest_centroid_seeds(medium_mesh, pts))
         assert (ids == -1).all() and not ok.any()
 
     def test_face_point_resolves_to_a_containing_tet(self, medium_mesh,
@@ -60,7 +67,8 @@ class TestLocate:
         other = nbr[e, face_local]
         verts = [v for i, v in enumerate(medium_mesh.tets[e]) if i != face_local]
         p = medium_mesh.nodes[verts].mean(axis=0)
-        ids, ok = locator.locate_many(p[None])
+        ids, ok = locator.locate_many(
+            p[None], nearest_centroid_seeds(medium_mesh, p))
         oracle = brute_force_containing_tets(medium_mesh, p)
         assert ok[0] and ids[0] in oracle
         assert {e, other} <= set(oracle)
@@ -68,7 +76,8 @@ class TestLocate:
 
 def interpolate_points(locator, points, field):
     """P1 values at points through the batched calls the solver uses."""
-    ids, ok = locator.locate_many(points)
+    ids, ok = locator.locate_many(
+        points, nearest_centroid_seeds(locator.mesh, points))
     assert ok.all()
     return locator.interpolate_at(ids, points, field)
 
@@ -84,7 +93,8 @@ class TestInterpolate:
         c = np.array([0.7, -1.3, 2.1])
         field = medium_mesh.nodes @ c
         cen = medium_mesh.tet_centroids()[::7]
-        ids, ok = locator.locate_many(cen)
+        ids, ok = locator.locate_many(
+            cen, np.arange(medium_mesh.n_tets)[::7])
         assert ok.all()
         vals = locator.interpolate_at(ids, cen, field)
         assert np.abs(vals - cen @ c).max() < 1e-12
@@ -109,28 +119,28 @@ class TestInterpolate:
         assert val.shape == (1, 3)
         assert np.allclose(val, p * [1.0, -2.0, 0.5], atol=1e-12)
 
-    def test_outside_raises(self, locator):
+    def test_outside_raises(self, medium_mesh, locator):
         # a foot can only be clamped back toward an origin inside the mesh
         p = np.array([[3.0, 0.0, 0.0]])
         with pytest.raises(PointLocationError):
-            locator.clamp_inside(p, p)
+            locator.clamp_inside(p, p, nearest_centroid_seeds(medium_mesh, p))
 
 
 class TestClamp:
     def test_inside_targets_untouched(self, medium_mesh, locator):
         origins = medium_mesh.tet_centroids()[:50]
         targets = origins + 1e-3
-        pts, ids = locator.clamp_inside(origins, targets)
+        pts, ids = locator.clamp_inside(origins, targets, np.arange(50))
         assert np.array_equal(pts, targets)
         assert (ids >= 0).all()
 
     def test_outside_targets_pulled_inside(self, medium_mesh, locator):
         rng = np.random.default_rng(2)
-        origins = medium_mesh.tet_centroids()[
-            rng.integers(0, medium_mesh.n_tets, 80)]
+        seeds = rng.integers(0, medium_mesh.n_tets, 80)
+        origins = medium_mesh.tet_centroids()[seeds]
         targets = origins + rng.uniform(-1.5, 1.5, origins.shape)
-        pts, ids = locator.clamp_inside(origins, targets)
-        _, ok = locator.locate_many(pts)
+        pts, ids = locator.clamp_inside(origins, targets, seeds)
+        _, ok = locator.locate_many(pts, seeds)
         assert ok.all()
         assert (ids >= 0).all()
         # clamped points stay on the origin->target segment
@@ -138,6 +148,55 @@ class TestClamp:
         d_p = pts - origins
         cross = np.linalg.norm(np.cross(d_t, d_p), axis=1)
         assert cross.max() < 1e-9
+
+
+class TestExhaustiveScan:
+    """A walk that hits the wall goes on to the scan of every tet.  On the
+    plain meshes no inside point's walk reaches the wall, so the curved mesh
+    is notched: the tets of its middle third on the y > -0.3 side are
+    removed, and a walk from one end to the other runs into the notch."""
+
+    @pytest.fixture(scope="class")
+    def notched(self, straight_spec, curved_spec):
+        straight = sf.build_straight_mesh(straight_spec, n_r=6, n_z=6)
+        curved = sf.map_to_torus(straight, curved_spec)
+        zc = 0.5 * (straight_spec.z_min + straight_spec.z_max)
+        third = (straight_spec.z_max - straight_spec.z_min) / 3
+        c = straight.tet_centroids()
+        cut = (np.abs(c[:, 2] - zc) < 0.5 * third) & (c[:, 1] > -0.3)
+        tets = curved.tets[~cut]
+        _, bfaces = geo._face_adjacency(tets)
+        mesh = geo.Mesh(nodes=curved.nodes, tets=tets, boundary_faces=bfaces,
+                        boundary_nodes=np.unique(bfaces), h=curved.h)
+        # a seed in the near end, nodes of the far end (each in several tets)
+        sc = straight.tet_centroids()[~cut]
+        seed = np.nonzero((sc[:, 2] < straight_spec.z_min + 0.5 * third)
+                          & (sc[:, 1] > 0.4))[0][0]
+        sn = straight.nodes
+        far = np.nonzero((sn[:, 2] > straight_spec.z_max - 0.5 * third)
+                         & (sn[:, 1] > 0.2))[0]
+        notch = curved.tet_centroids()[cut][0]
+        return TetLocator(mesh), seed, mesh.nodes[far], notch
+
+    def test_blocked_walk_finds_lowest_containing_tet(self, notched):
+        loc, seed, pts, _ = notched
+        seeds = np.full(len(pts), seed)
+        _, walked = loc.locate_many(pts, seeds, fallback=False)
+        assert not walked.any()
+        ids, ok = loc.locate_many(pts, seeds)
+        assert ok.all()
+        for p, found in zip(pts, ids):
+            oracle = brute_force_containing_tets(loc.mesh, p)
+            assert len(oracle) > 1 and found == oracle.min()
+
+    def test_point_outside_is_not_found(self, notched):
+        loc, seed, _, notch = notched
+        # in the notch, then beyond the wall
+        pts = np.array([notch, [3.0, 0.0, 0.2]])
+        for p in pts:
+            assert len(brute_force_containing_tets(loc.mesh, p)) == 0
+        ids, ok = loc.locate_many(pts, np.full(len(pts), seed))
+        assert (ids == -1).all() and not ok.any()
 
 
 @pytest.fixture(scope="module", params=["medium_mesh", "curved_mesh"])
@@ -173,7 +232,7 @@ class TestLocateProperties:
         mesh = any_locator.mesh
         lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
         pts = lo + np.asarray(unit) * (hi - lo)
-        seeds = None if seed_frac is None else \
+        seeds = nearest_centroid_seeds(mesh, pts) if seed_frac is None else \
             np.full(len(pts), int(seed_frac * mesh.n_tets))
         ids, ok = any_locator.locate_many(pts, seeds=seeds)
         assert np.array_equal(ok, ids >= 0)

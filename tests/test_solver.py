@@ -10,7 +10,7 @@ from swirlfem.pointlocate import TetLocator
 from swirlfem.solver import ConvergenceError, StepOperator
 from swirlfem.verify import manufactured_solution
 
-from conftest import zero_state
+from conftest import nearest_centroid_seeds, zero_state
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def upstream_points(mesh, state, points, tau):
     inside the mesh by the batched calls StepOperator.composed_velocity
     makes; returns (feet, their tets, the locator)."""
     loc = TetLocator(mesh)
-    tets, ok = loc.locate_many(points)
+    tets, ok = loc.locate_many(points, nearest_centroid_seeds(mesh, points))
     assert ok.all()
     v = loc.interpolate_at(tets, points, state.velocity)
     feet, foot_tets = loc.clamp_inside(points, points - tau * v, tets)
@@ -71,7 +71,7 @@ class TestUpstreamPoint:
         x = small_mesh.nodes[[0, 7, 23]]
         feet, tets, loc = upstream_points(small_mesh, state, x, cfg.tau)
         assert (tets >= 0).all()
-        _, ok = loc.locate_many(feet)
+        _, ok = loc.locate_many(feet, tets)
         assert ok.all()
 
 
