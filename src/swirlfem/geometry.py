@@ -261,7 +261,8 @@ def disk_triangulation(n_r: int, r_max: float):
 def _split_prisms(bottom: np.ndarray, layer_stride: int) -> np.ndarray:
     """Split prisms (bottom triangle ids; top = bottom + layer_stride) into
     3 tets each, choosing quad-face diagonals through the smallest global id
-    on the face so adjacent prisms conform.
+    on the face so adjacent prisms conform.  Counterclockwise bottom
+    triangles (as disk_triangulation makes them) give positive volumes.
     """
     tri = np.asarray(bottom, dtype=np.int64)
     # rotate each triangle so its smallest id comes first
@@ -280,17 +281,6 @@ def _split_prisms(bottom: np.ndarray, layer_stride: int) -> np.ndarray:
     tets[~diag15, 1] = np.stack([v0, v4, v2, v5], axis=1)[~diag15]
     tets[~diag15, 2] = np.stack([v0, v4, v5, v3], axis=1)[~diag15]
     return tets.reshape(-1, 4)
-
-
-def _orient_positive(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    vol = signed_tet_volumes(nodes, tets)
-    flip = vol < 0
-    if flip.any():
-        tets = tets.copy()
-        tmp = tets[flip]
-        tmp[:, [2, 3]] = tmp[:, [3, 2]]
-        tets[flip] = tmp
-    return tets
 
 
 def _face_adjacency(tets: np.ndarray):
@@ -345,7 +335,6 @@ def build_straight_mesh(spec: DomainSpec, n_r: int, n_z: int) -> Mesh:
         [tris + l * n_disk for l in range(n_z)], axis=0
     )
     tets = _split_prisms(prisms, n_disk)
-    tets = _orient_positive(nodes, tets)
 
     nbr, bfaces = _face_adjacency(tets)
     return Mesh(

@@ -12,16 +12,14 @@ import os
 import re
 from pathlib import Path
 
-import numpy as np
-
 from . import vtkio
 from .config import RunConfig, serialize_config
 from .diagnostics import compute_record
 from .geometry import DomainKind, DomainSpec, build_straight_mesh, \
     cross_section_planes, map_to_torus
 from .initcond import sample_initial_state
-from .solver import FieldState, StepOperator, run_simulation
-from .vtkio import record_to_row
+from .solver import StepOperator, run_simulation
+from .vtkio import read_snapshot, record_to_row
 
 OUTPUT_ROOT_ENV = "SWIRLFEM_OUTPUT_ROOT"
 
@@ -135,27 +133,6 @@ def cmd_run(cfg: RunConfig, out_dir=None, max_steps=None):
     finally:
         vtkio.write_csv_rows(csv_path, rows, cfg.q_thresholds)
     return state
-
-
-_SNAP_TITLE_RE = re.compile(r"step=(\d+) t=([^\s]+)")
-
-
-def read_snapshot(path, mesh):
-    """Load a snapshot VTK back into a FieldState (exact values); its nodes
-    and tets must equal the mesh's, which %.17g round-trips exactly."""
-    nodes, tets, pdata, _, title = vtkio.read_vtk(path)
-    if not (np.array_equal(nodes, mesh.nodes)
-            and np.array_equal(tets, mesh.tets)):
-        raise ValueError(
-            f"{path}: snapshot mesh ({len(nodes)} nodes, {len(tets)} tets) "
-            f"differs from the configured mesh ({mesh.n_nodes} nodes, "
-            f"{mesh.n_tets} tets)"
-        )
-    m = _SNAP_TITLE_RE.search(title)
-    if not m:
-        raise ValueError(f"{path}: snapshot title lacks step/time metadata")
-    return FieldState(step_index=int(m.group(1)), time=float(m.group(2)),
-                      velocity=pdata["velocity"], pressure=pdata["pressure"])
 
 
 def cmd_analyze(cfg: RunConfig, snapshot_paths, out_dir=None) -> Path:

@@ -3,11 +3,13 @@
 VTK files are written with %.17g floats so every value round-trips exactly
 through the bundled reader; checkpoints use a versioned npz container so
 resume is bit-exact.  All writes go through a temp file + rename so partial
-files never end up under the final name.
+files never end up under the final name; a file the readers cannot read
+raises ValueError naming it.
 """
 
 import os
-from dataclasses import dataclass
+import re
+import zipfile
 
 import numpy as np
 
@@ -87,75 +89,89 @@ def write_vtk(path, nodes: np.ndarray, tets: np.ndarray,
 def read_vtk(path):
     """Read files produced by write_vtk.
 
-    Returns (nodes, tets, point_data, cell_data, title).  Only the subset of the
-    legacy format that the writer emits is supported.
+    Returns (nodes, tets, point_data, cell_data, title).  Exactly the layout
+    the writer emits is read; a short, garbled or unknown section raises
+    ValueError naming the file.
     """
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    i = 0
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+        return _parse_vtk(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
-    def expect(prefix):
-        nonlocal i
-        while i < len(tokens) and not tokens[i].strip():
-            i += 1
-        if i >= len(tokens) or not tokens[i].startswith(prefix):
-            raise ValueError(f"{path}: expected {prefix!r} at line {i + 1}")
-        line = tokens[i]
-        i += 1
-        return line
 
-    expect("# vtk DataFile")
-    title = tokens[i] if i < len(tokens) else ""
-    i += 1
-    expect("ASCII")
-    expect("DATASET UNSTRUCTURED_GRID")
-    n_pts = int(expect("POINTS").split()[1])
-    nodes = np.empty((n_pts, 3))
-    for k in range(n_pts):
-        nodes[k] = [float(v) for v in tokens[i].split()]
-        i += 1
-    n_cells = int(expect("CELLS").split()[1])
-    tets = np.empty((n_cells, 4), dtype=np.int64)
-    for k in range(n_cells):
-        parts = tokens[i].split()
-        if parts[0] != "4":
-            raise ValueError(f"{path}: cell {k} is not a tetrahedron")
-        tets[k] = [int(v) for v in parts[1:5]]
-        i += 1
-    expect("CELL_TYPES")
-    i += n_cells
+def _parse_vtk(lines):
+    end = len(lines) - 1  # the writer ends the last line with a newline too
+    if lines[end]:
+        raise ValueError(f"file ends inside line {end + 1} (truncated?)")
+
+    def header(i, pattern):
+        """The groups of pattern, which line i must match in full."""
+        m = re.fullmatch(pattern, lines[i]) if i < end else None
+        if m is None:
+            found = repr(lines[i]) if i < end else "the end of the file"
+            raise ValueError(f"line {i + 1}: expected {pattern!r}, "
+                             f"found {found}")
+        return m.groups()
+
+    def block(i, count, dtype, width):
+        """The count lines from line i as a (count, width) array."""
+        if not 0 < count <= end - i:
+            raise ValueError(f"line {i + 1}: {count} data lines announced, "
+                             f"{max(end - i, 0)} left in the file")
+        try:
+            arr = np.loadtxt(lines[i:i + count], dtype=dtype, comments=None,
+                             ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"data from line {i + 1}: {exc}") from None
+        if arr.shape != (count, width):
+            raise ValueError(f"data from line {i + 1}: expected {count} "
+                             f"rows of {width}, read {arr.shape}")
+        return arr
+
+    header(0, r"# vtk DataFile Version \d\.\d")
+    title = lines[1]
+    header(2, "ASCII")
+    header(3, "DATASET UNSTRUCTURED_GRID")
+    n_pts = int(header(4, r"POINTS (\d+) double")[0])
+    nodes = block(5, n_pts, float, 3)
+    i = 5 + n_pts
+    n_cells, size = map(int, header(i, r"CELLS (\d+) (\d+)"))
+    cells = block(i + 1, n_cells, np.int64, 5)
+    if size != 5 * n_cells or (cells[:, 0] != 4).any():
+        raise ValueError(f"line {i + 1}: cells are not all tetrahedra")
+    i += 1 + n_cells
+    header(i, f"CELL_TYPES {n_cells}")
+    if lines[i + 1:i + 1 + n_cells] != ["10"] * n_cells:
+        raise ValueError(f"line {i + 2}: expected {n_cells} cell types 10")
+    i += 1 + n_cells
 
     point_data: dict = {}
     cell_data: dict = {}
+    sections = {"POINT_DATA": (point_data, n_pts),
+                "CELL_DATA": (cell_data, n_cells)}
     target, count = None, 0
-    while i < len(tokens):
-        line = tokens[i].strip()
-        i += 1
-        if not line:
-            continue
-        if line.startswith("CELL_DATA"):
-            target, count = cell_data, int(line.split()[1])
-        elif line.startswith("POINT_DATA"):
-            target, count = point_data, int(line.split()[1])
-        elif line.startswith("VECTORS"):
-            name = line.split()[1]
-            arr = np.empty((count, 3))
-            for k in range(count):
-                arr[k] = [float(v) for v in tokens[i].split()]
-                i += 1
-            target[name] = arr
-        elif line.startswith("SCALARS"):
-            parts = line.split()
-            name, dtype = parts[1], parts[2]
-            i += 1  # LOOKUP_TABLE
-            if dtype == "int":
-                target[name] = np.array([int(tokens[i + k]) for k in range(count)])
-            else:
-                target[name] = np.array([float(tokens[i + k]) for k in range(count)])
-            i += count
+    while i < end:
+        kind = lines[i].split(" ", 1)[0]
+        if kind in sections:
+            target, count = sections[kind]
+            header(i, f"{kind} {count}")
+            i += 1
+        elif kind == "VECTORS" and target is not None:
+            name, = header(i, r"VECTORS (\S+) double")
+            target[name] = block(i + 1, count, float, 3)
+            i += 1 + count
+        elif kind == "SCALARS" and target is not None:
+            name, dtype = header(i, r"SCALARS (\S+) (int|double) 1")
+            header(i + 1, "LOOKUP_TABLE default")
+            dtype = np.int64 if dtype == "int" else float
+            target[name] = block(i + 2, count, dtype, 1)[:, 0]
+            i += 2 + count
         else:
-            raise ValueError(f"{path}: unsupported section {line!r}")
-    return nodes, tets, point_data, cell_data, title
+            raise ValueError(f"line {i + 1}: unsupported section "
+                             f"{lines[i]!r}")
+    return nodes, cells[:, 1:], point_data, cell_data, title
 
 
 def write_mesh_vtk(path, mesh: Mesh):
@@ -170,6 +186,30 @@ def write_snapshot_vtk(path, mesh: Mesh, state):
                           "pressure": state.pressure},
               title=f"swirlfem snapshot step={state.step_index} "
                     f"t={_F % state.time}")
+
+
+_SNAP_TITLE_RE = re.compile(
+    r"swirlfem snapshot step=(\d+) t=(\d+(?:\.\d+)?(?:e[-+]\d+)?)")
+
+
+def read_snapshot(path, mesh: Mesh) -> FieldState:
+    """Load a snapshot VTK back into a FieldState (exact values); its nodes
+    and tets must equal the mesh's, which %.17g round-trips exactly."""
+    nodes, tets, pdata, _, title = read_vtk(path)
+    if not {"velocity", "pressure"} <= pdata.keys():
+        raise ValueError(f"{path}: snapshot lacks velocity or pressure")
+    if not (np.array_equal(nodes, mesh.nodes)
+            and np.array_equal(tets, mesh.tets)):
+        raise ValueError(
+            f"{path}: snapshot mesh ({len(nodes)} nodes, {len(tets)} tets) "
+            f"differs from the configured mesh ({mesh.n_nodes} nodes, "
+            f"{mesh.n_tets} tets)"
+        )
+    m = _SNAP_TITLE_RE.fullmatch(title)
+    if not m:
+        raise ValueError(f"{path}: snapshot title lacks step/time metadata")
+    return FieldState(step_index=int(m.group(1)), time=float(m.group(2)),
+                      velocity=pdata["velocity"], pressure=pdata["pressure"])
 
 
 # ---------------------------------------------------------------------------
@@ -197,33 +237,31 @@ def write_checkpoint(path, state, record_rows, config_text: str):
 
 def read_checkpoint(path, n_nodes: int, config_text: str | None = None):
     """(state, diagnostics rows) of a checkpoint; with config_text, refuse
-    one written under another config."""
-    with np.load(path) as data:
-        version = int(data["format"])
-        if version != CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"{path}: checkpoint format {version} not supported "
-                f"(expected {CHECKPOINT_FORMAT})"
-            )
-        if config_text is not None and str(data["config"]) != config_text:
-            raise ValueError(
-                f"{path}: checkpoint was written under another config; "
-                f"resume with the config it was started with, or use a "
-                f"fresh output directory"
-            )
-        velocity = data["velocity"]
-        if velocity.shape[0] != n_nodes:
-            raise ValueError(
-                f"{path}: checkpoint has {velocity.shape[0]} nodes, "
-                f"mesh has {n_nodes}"
-            )
-        state = FieldState(
-            step_index=int(data["step_index"]),
-            time=float(data["time"]),
-            velocity=velocity,
-            pressure=data["pressure"],
-        )
-        rows = data["record_rows"]
+    one written under another config.  A file np.load cannot open, or one
+    that lacks an array, raises ValueError naming it like every refusal."""
+    try:
+        with np.load(path) as data:
+            version = int(data["format"])
+            if version != CHECKPOINT_FORMAT:
+                raise ValueError(f"checkpoint format {version} not supported "
+                                 f"(expected {CHECKPOINT_FORMAT})")
+            if config_text is not None \
+                    and str(data["config"]) != config_text:
+                raise ValueError("checkpoint was written under another "
+                                 "config; resume with the config it was "
+                                 "started with, or use a fresh output "
+                                 "directory")
+            velocity = data["velocity"]
+            if velocity.shape[0] != n_nodes:
+                raise ValueError(f"checkpoint has {velocity.shape[0]} nodes, "
+                                 f"mesh has {n_nodes}")
+            state = FieldState(step_index=int(data["step_index"]),
+                               time=float(data["time"]), velocity=velocity,
+                               pressure=data["pressure"])
+            rows = data["record_rows"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
+            TypeError) as exc:  # TypeError: an .npy array is no npz archive
+        raise ValueError(f"{path}: {exc}") from exc
     return state, rows
 
 
@@ -266,17 +304,13 @@ def record_to_row(rec: DiagnosticsRecord, q_thresholds,
     return row
 
 
-def format_csv_rows(rows, q_thresholds) -> str:
-    """The diagnostics CSV text: header plus one line per row of floats,
-    each written with repr so that it reads back exactly."""
+def write_csv_rows(path, rows, q_thresholds):
+    """The diagnostics CSV: header plus one line per row of floats, each
+    written with repr so that it reads back exactly."""
     lines = [",".join(csv_columns(q_thresholds))]
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_csv_rows(path, rows, q_thresholds):
-    _atomic_write(path, format_csv_rows(rows, q_thresholds))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path):

@@ -39,6 +39,34 @@ def set_wall_velocity(cfg, path, value):
         np.savez(fh, **payload)
 
 
+def cut(text, marker, lines, chars):
+    """text up to chars characters into the lines-th line after the line
+    that starts with marker."""
+    pos = text.index("\n" + marker) + 1
+    for _ in range(lines):
+        pos = text.index("\n", pos) + 1
+    return text[:pos + chars]
+
+
+def garble(text, marker):
+    """text with the first value after the marker line replaced by 'abc'."""
+    start = text.index("\n", text.index("\n" + marker) + 1) + 1
+    return text[:start] + "abc" + text[text.index(" ", start):]
+
+
+DAMAGE = {
+    "points-mid-line": lambda t: cut(t, "POINTS", 2, 7),
+    "points-short": lambda t: cut(t, "POINTS", 2, 0),
+    "cells": lambda t: cut(t, "CELLS", 3, 2),
+    "cell-types": lambda t: cut(t, "CELL_TYPES", 2, 0),
+    "vectors": lambda t: cut(t, "VECTORS", 1, 20),
+    "scalars": lambda t: cut(t, "SCALARS", 3, 4),
+    "before-scalars": lambda t: cut(t, "SCALARS", 0, 0),
+    "garbled-value": lambda t: garble(t, "VECTORS"),
+    "garbled-title": lambda t: t.replace(" t=", " t=x", 1),
+}
+
+
 class TestPipeline:
     def test_cmd_mesh_writes_readable_vtk(self, tiny_cfg, tmp_path):
         path = pipeline.cmd_mesh(tiny_cfg, tmp_path)
@@ -137,6 +165,24 @@ class TestPipeline:
             pipeline.read_snapshot(snap, mesh)
         state = pipeline.read_snapshot(snap, pipeline.build_mesh(tiny_cfg)[1])
         assert state.step_index == 0
+
+    def test_analyze_reaches_the_traced_names(self, tiny_cfg, tmp_path,
+                                              monkeypatch):
+        # the benchmark's trace wraps pipeline.read_snapshot and
+        # pipeline.compute_record; cmd_analyze must look both up there
+        pipeline.cmd_run(tiny_cfg, tmp_path / "run", max_steps=2)
+        snaps = sorted((tmp_path / "run").glob("snapshot_*.vtk"))
+        assert len(snaps) == 2
+        calls = {"read_snapshot": 0, "compute_record": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(pipeline, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        pipeline.cmd_analyze(tiny_cfg, snaps, tmp_path / "ana")
+        assert calls == {"read_snapshot": 2, "compute_record": 2}
 
     def test_output_root_env(self, tiny_cfg, tmp_path, monkeypatch):
         monkeypatch.setenv(pipeline.OUTPUT_ROOT_ENV, str(tmp_path))
@@ -237,8 +283,45 @@ class TestCli:
         assert "differs from the configured mesh" in capsys.readouterr().err
         assert not (tmp_path / "ana" / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+    def test_unreadable_snapshot_exits_1_naming_it(self, tmp_path, capsys,
+                                                   damage):
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(TINY)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out),
+                     "--max-steps", "0"]) == 0
+        snap = out / "snapshot_000000.vtk"
+        snap.write_text(damage(snap.read_text()))
+        mesh = pipeline.build_mesh(parse_config(TINY))[1]
+        with pytest.raises(ValueError, match="snapshot_000000.vtk: "):
+            vtkio.read_snapshot(snap, mesh)
+        rc = main(["analyze", "--config", str(cfgfile), "--out",
+                   str(tmp_path / "ana"), str(snap)])
+        assert rc == 1
+        assert "error: " + str(snap) in capsys.readouterr().err
+        assert not (tmp_path / "ana" / "diagnostics.csv").exists()
+
+    def test_corrupt_checkpoint_exits_1_before_writing(self, tmp_path,
+                                                       capsys):
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(TINY)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out),
+                     "--max-steps", "5"]) == 0
+        chk = out / "checkpoint_000004.npz"
+        chk.write_bytes(chk.read_bytes()[:1000])
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert "checkpoint_000004.npz" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_user_errors_exit_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 1
+        # a directory where a file is expected
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        assert main(["analyze", "--out", str(tmp_path / "ana"),
+                     str(tmp_path)]) == 1
         bad = tmp_path / "bad.yaml"
         bad.write_text("solver: {tau: -1}\n")
         assert main(["run", "--config", str(bad)]) == 1

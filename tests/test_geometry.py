@@ -57,10 +57,12 @@ class TestStraightMesh:
         assert abs(mesh.total_volume() - expected) < 1e-13
 
     def test_positive_volumes_and_watertight(self, straight_spec):
-        mesh = sf.build_straight_mesh(straight_spec, n_r=16, n_z=10)
-        assert mesh.tet_volumes().min() > 0
+        # the prism split orients every tet; nothing flips them afterwards
+        for n_r, n_z in ((2, 2), (3, 5), (7, 3), (16, 16), (16, 10)):
+            mesh = sf.build_straight_mesh(straight_spec, n_r=n_r, n_z=n_z)
+            assert mesh.tet_volumes().min() > 0
 
-        # oracle: count face incidence directly; interior faces appear in
+        # oracle on the last mesh: count face incidence; interior faces are in
         # exactly 2 tets, boundary faces in exactly 1
         from collections import Counter
         count = Counter()

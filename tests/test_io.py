@@ -47,6 +47,16 @@ class TestVtkRoundTrip:
         with pytest.raises(ValueError):
             vtkio.read_vtk(path)
 
+    def test_reader_checks_header_words(self, small_mesh, tmp_path):
+        path = tmp_path / "mesh.vtk"
+        vtkio.write_mesh_vtk(path, small_mesh)
+        text = path.read_text()
+        for old, new in (("double", "float"), ("SCALARS region int 1",
+                                               "SCALARS region int 3")):
+            path.write_text(text.replace(old, new, 1))
+            with pytest.raises(ValueError, match="mesh.vtk: line"):
+                vtkio.read_vtk(path)
+
     def test_writer_validates_field_length(self, small_mesh, tmp_path):
         with pytest.raises(ValueError):
             vtkio.write_vtk(tmp_path / "x.vtk", small_mesh.nodes,
@@ -87,6 +97,25 @@ class TestCheckpoint:
                                   "domain: {kind: curved}\n")
         # without a config to compare, the stored one is not checked
         vtkio.read_checkpoint(path, small_mesh.n_nodes)
+
+    def test_unreadable_refused(self, small_mesh, tmp_path):
+        path = tmp_path / "chk.npz"
+        vtkio.write_checkpoint(path, zero_state(small_mesh), [[0.0]], "")
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(ValueError, match="chk.npz.*not a zip file"):
+            vtkio.read_checkpoint(path, small_mesh.n_nodes)
+        # a zip that lacks one of the arrays
+        with open(path, "wb") as fh:
+            np.savez(fh, format=np.int64(vtkio.CHECKPOINT_FORMAT),
+                     config=np.str_(""))
+        with pytest.raises(ValueError, match="chk.npz.*velocity"):
+            vtkio.read_checkpoint(path, small_mesh.n_nodes)
+        # a bare .npy array under the checkpoint's name
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        with pytest.raises(ValueError, match="chk.npz"):
+            vtkio.read_checkpoint(path, small_mesh.n_nodes)
 
     def test_format_1_refused(self, small_mesh, tmp_path):
         state = zero_state(small_mesh)
